@@ -22,16 +22,14 @@
 //! A fifth report, `BENCH_scale.json`, runs random-pattern stuck-at
 //! campaigns on the scale tier — generated 10K–100K+ gate circuits (wide
 //! multiplier, ALU datapath, deep random DAG, stitched multi-core
-//! composition) — with three engines: the **classic reference** (one
+//! composition) — with two engines: the **classic reference** (one
 //! 64-pattern block at a time, one event-driven cone propagation per
 //! alive fault; reimplemented here so it stays the honest pre-wide-word
-//! baseline), the production **wide** engine (explicit per-fault
-//! propagation) at 1 thread, and the production **ctrace** engine
-//! (critical-path tracing inside fanout-free regions plus
-//! dominator-gated stem observability) at `--jobs` 1, 2, 4 and 8. All
-//! three engines must return the bit-identical `CampaignResult` — the
-//! ctrace check at every thread count doubles as the CI bit-identity
-//! gate. The decision columns (`gates`, `faults`, `fault_classes`,
+//! baseline) and the production **ctrace** engine (critical-path tracing
+//! inside fanout-free regions plus dominator-gated stem observability) at
+//! `--jobs` 1, 2, 4 and 8. Both engines must return the bit-identical
+//! `CampaignResult` — the check at every thread count doubles as the CI
+//! bit-identity gate. The decision columns (`gates`, `faults`, `fault_classes`,
 //! `faults_ctrace`, `faults_dom`, `detected`, `coverage`) are pinned by
 //! `bench_check`, the timings are free.
 //!
@@ -63,7 +61,7 @@ use sft::par::Jobs;
 use sft::serve::{serve, ServeConfig, ServeSummary};
 use sft::sim::{
     campaign, collapse, fault_list, pattern_block, CampaignConfig, CampaignResult, Fault,
-    FaultSimTables, FaultSite, SimEngine, SoaCircuit,
+    FaultSimTables, FaultSite, SoaCircuit,
 };
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -449,7 +447,7 @@ fn serve_rows(entries: &[SuiteEntry], cfg: &Config) -> Vec<String> {
 
 // ---------------------------------------------------------------------------
 // Scale tier: generated 10K–100K+ gate circuits, classic engine vs the
-// wide-word/fault-dropping engine across a thread curve.
+// production engine across a thread curve.
 
 /// The classic reference fault simulator: 64 patterns per block, good
 /// values recomputed per block by one full topological sweep, and one
@@ -674,9 +672,8 @@ struct ScaleEntry {
     name: &'static str,
     circuit: Circuit,
     patterns: u64,
-    /// The acceptance row: >= 100K gates, at 1 thread the wide engine
-    /// must beat the classic engine by >= 2x and the ctrace engine must
-    /// beat the wide engine by >= 1.5x.
+    /// The acceptance row: >= 100K gates, and at 1 thread the ctrace engine
+    /// must beat the classic engine by >= 3x.
     headline: bool,
 }
 
@@ -736,12 +733,11 @@ fn scale_suite(cfg: &Config) -> Vec<ScaleEntry> {
 
 fn scale_row(entry: &ScaleEntry, cfg: &Config) -> String {
     let faults = fault_list(&entry.circuit);
-    let campaign_cfg = |jobs: Jobs, engine: SimEngine| CampaignConfig {
+    let campaign_cfg = |jobs: Jobs| CampaignConfig {
         max_patterns: entry.patterns,
         plateau: 0,
         seed: 0x5ca1e,
         jobs,
-        engine,
         ..CampaignConfig::default()
     };
     // The headline row gates hard speedup asserts on single-shot wall
@@ -749,25 +745,15 @@ fn scale_row(entry: &ScaleEntry, cfg: &Config) -> String {
     // either engine's run cannot fail (or vacuously pass) the gate.
     let runs = if entry.headline { 2 } else { 1 };
     let (classic, classic_secs) = time_best(runs, || {
-        classic_campaign(&entry.circuit, &faults, &campaign_cfg(Jobs::serial(), SimEngine::Wide))
+        classic_campaign(&entry.circuit, &faults, &campaign_cfg(Jobs::serial()))
     });
-    let (wide, wide_secs) = time_best(runs, || {
-        campaign(&entry.circuit, &faults, &campaign_cfg(Jobs::serial(), SimEngine::Wide))
-    });
-    assert_eq!(
-        classic, wide,
-        "{}: wide engine must match the classic reference bit for bit",
-        entry.name
-    );
     // The ctrace curve. Asserting bit identity at every thread count is the
     // engine's CI gate: on the quick tier this runs on every push.
     let mut secs_at = Vec::new();
     for jobs in [1usize, 2, 4, 8] {
         let j = if jobs == 1 { Jobs::serial() } else { Jobs::new(jobs) };
         let reps = if jobs == 1 { runs } else { 1 };
-        let (r, secs) = time_best(reps, || {
-            campaign(&entry.circuit, &faults, &campaign_cfg(j, SimEngine::Ctrace))
-        });
+        let (r, secs) = time_best(reps, || campaign(&entry.circuit, &faults, &campaign_cfg(j)));
         assert_eq!(
             classic, r,
             "{}: ctrace engine at {jobs} job(s) must match the classic reference bit for bit",
@@ -789,20 +775,13 @@ fn scale_row(entry: &ScaleEntry, cfg: &Config) -> String {
     let faults_ctrace = faults.iter().filter(|f| soa.ffr_interior(site(f))).count();
     let faults_dom = faults.iter().filter(|f| soa.idom(soa.ffr_root(site(f))).is_some()).count();
     let gates = entry.circuit.two_input_gate_count();
-    let speedup_wide_vs_classic_1t = classic_secs / wide_secs.max(1e-9);
-    let speedup_ctrace_vs_wide_1t = wide_secs / secs_at[0].max(1e-9);
+    let speedup_ctrace_vs_classic_1t = classic_secs / secs_at[0].max(1e-9);
     if entry.headline {
         assert!(gates >= 100_000, "{}: headline row shrank to {gates} gates", entry.name);
         assert!(
-            cfg.quick || speedup_wide_vs_classic_1t >= 2.0,
-            "{}: wide engine at 1 thread is only {speedup_wide_vs_classic_1t:.2}x over the \
-             classic serial engine (need >= 2.0x)",
-            entry.name
-        );
-        assert!(
-            cfg.quick || speedup_ctrace_vs_wide_1t >= 1.5,
-            "{}: ctrace engine at 1 thread is only {speedup_ctrace_vs_wide_1t:.2}x over the \
-             wide engine (need >= 1.5x)",
+            cfg.quick || speedup_ctrace_vs_classic_1t >= 3.0,
+            "{}: ctrace engine at 1 thread is only {speedup_ctrace_vs_classic_1t:.2}x over the \
+             classic serial engine (need >= 3.0x)",
             entry.name
         );
     }
@@ -817,13 +796,11 @@ fn scale_row(entry: &ScaleEntry, cfg: &Config) -> String {
         ("coverage", format!("{:.4}", classic.coverage())),
         ("patterns_applied", classic.patterns_applied.to_string()),
         ("secs_classic_1_thread", format!("{classic_secs:.4}")),
-        ("secs_wide_1_thread", format!("{wide_secs:.4}")),
         ("secs_1_thread", format!("{:.4}", secs_at[0])),
         ("secs_2_threads", format!("{:.4}", secs_at[1])),
         ("secs_4_threads", format!("{:.4}", secs_at[2])),
         ("secs_8_threads", format!("{:.4}", secs_at[3])),
-        ("speedup_wide_vs_classic_1t", format!("{speedup_wide_vs_classic_1t:.3}")),
-        ("speedup_ctrace_vs_wide_1t", format!("{speedup_ctrace_vs_wide_1t:.3}")),
+        ("speedup_ctrace_vs_classic_1t", format!("{speedup_ctrace_vs_classic_1t:.3}")),
         ("scaling_4_threads", format!("{:.3}", secs_at[0] / secs_at[2].max(1e-9))),
     ])
 }

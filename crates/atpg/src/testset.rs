@@ -11,7 +11,7 @@ use crate::podem::{generate_test_with, PodemContext, TestResult};
 use sft_budget::{Budget, StopReason};
 use sft_netlist::Circuit;
 use sft_par::{parallel_map, Jobs};
-use sft_sim::{fault_list, pattern_block, Fault, FaultSim, FaultSimTables, SimEngine};
+use sft_sim::{fault_list, pattern_block, Fault, FaultSim, FaultSimTables};
 use std::sync::Arc;
 
 /// Options for [`generate_test_set`].
@@ -32,10 +32,6 @@ pub struct TestSetOptions {
     /// budget is checked once per chunk of up to `jobs` blocks instead of
     /// once per block.
     pub jobs: Jobs,
-    /// Fault-simulation engine for the random phase, fault dropping, and
-    /// compaction. Both engines are bit-identical, so the generated set
-    /// does not depend on this — only wall time does.
-    pub engine: SimEngine,
 }
 
 impl Default for TestSetOptions {
@@ -46,7 +42,6 @@ impl Default for TestSetOptions {
             compact: true,
             seed: 0x7e57,
             jobs: Jobs::serial(),
-            engine: SimEngine::default(),
         }
     }
 }
@@ -123,7 +118,7 @@ pub fn generate_test_set_with_budget(
     assert!(!circuit.inputs().is_empty(), "circuit must have inputs");
     let faults = fault_list(circuit);
     let tables = FaultSimTables::snapshot(circuit);
-    let mut fsim = FaultSim::with_tables(circuit, Arc::clone(&tables)).with_engine(options.engine);
+    let mut fsim = FaultSim::with_tables(circuit, Arc::clone(&tables));
     let mut alive: Vec<usize> = (0..faults.len()).collect();
     let mut vectors: Vec<Vec<bool>> = Vec::new();
     let n_inputs = circuit.inputs().len();
@@ -153,8 +148,7 @@ pub fn generate_test_set_with_budget(
                 })
                 .collect(),
             false => parallel_map(options.jobs, &chunk, |_, &b| {
-                let mut worker =
-                    FaultSim::with_tables(circuit, Arc::clone(&tables)).with_engine(options.engine);
+                let mut worker = FaultSim::with_tables(circuit, Arc::clone(&tables));
                 let words = pattern_block(options.seed, b, n_inputs);
                 let det = worker.detect_block(&alive_faults, &words);
                 (words, det)
@@ -309,21 +303,6 @@ INPUT(1)\nINPUT(2)\nINPUT(3)\nINPUT(6)\nINPUT(7)\nOUTPUT(22)\nOUTPUT(23)\n\
             );
             assert_eq!(serial, par, "jobs={jobs}");
         }
-    }
-
-    #[test]
-    fn engine_does_not_change_test_set() {
-        let c = parse(C17, "c17").unwrap();
-        let ctrace = generate_test_set(
-            &c,
-            &TestSetOptions { engine: SimEngine::Ctrace, ..TestSetOptions::default() },
-        );
-        let wide = generate_test_set(
-            &c,
-            &TestSetOptions { engine: SimEngine::Wide, ..TestSetOptions::default() },
-        );
-        assert_eq!(ctrace, wide);
-        verify_complete(&c, &ctrace);
     }
 
     #[test]

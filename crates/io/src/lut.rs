@@ -244,13 +244,7 @@ pub fn parse(text: &str, name: impl Into<String>) -> Result<Circuit, IoError> {
 pub fn write(c: &Circuit, k: usize) -> Result<String, IoError> {
     let net = cover_luts(c, k).map_err(IoError::Netlist)?;
     let cc = &net.circuit;
-    let names: Vec<String> = cc
-        .iter()
-        .map(|(id, node)| match node.name() {
-            Some(n) => n.to_string(),
-            None => format!("n{}", id.index()),
-        })
-        .collect();
+    let names = sft_netlist::bench_format::node_names(cc);
     let name_of = |id: NodeId| -> &str { &names[id.index()] };
     let mut out = String::new();
     let _ = writeln!(out, "# {} (lut-{k} covering)", cc.name());
@@ -322,6 +316,20 @@ mod tests {
     const SRC: &str = "INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nINPUT(e)\nINPUT(f)\n\
         OUTPUT(y)\nOUTPUT(z)\nt1 = AND(a, b, c)\nt2 = OR(d, e, f)\ny = XOR(t1, t2)\n\
         z = NAND(t1, d)\n";
+
+    /// The `.bench` writer's name-collision repro through `.lut`: the
+    /// unnamed gate at id 2 must not be written as a second `n2`.
+    #[test]
+    fn synthetic_names_avoid_taken_names() {
+        let mut c = Circuit::new("clash");
+        let a = c.add_input("n2");
+        let b = c.add_input("b");
+        let g = c.add_gate(GateKind::And, vec![a, b]).unwrap();
+        c.add_output(g, "y");
+        let text = write(&c, 2).unwrap();
+        let back = parse(&text, "clash").expect("writer output parses");
+        same_function(&c, &back);
+    }
 
     #[test]
     fn round_trip_preserves_function() {

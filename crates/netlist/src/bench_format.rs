@@ -31,7 +31,7 @@
 //! ```
 
 use crate::{Circuit, GateKind, NetlistError, NodeId};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
 /// Upper bound on the fanins of one parsed gate. Real netlists stay far
@@ -201,8 +201,62 @@ pub fn parse(text: &str, name: impl Into<String>) -> Result<Circuit, NetlistErro
     Ok(c)
 }
 
+/// The name every node is written under, indexed by node id: its own name,
+/// or for an unnamed node the synthetic `n<id>`. When a named node or
+/// another signal's output label already uses `n<id>`, the synthetic name
+/// takes the first free `n<id>_2`, `n<id>_3`, … instead, so the written
+/// text always parses back. Circuits without such a collision keep plain
+/// `n<id>` names.
+///
+/// ```
+/// use sft_netlist::bench_format::{node_names, parse, write};
+/// use sft_netlist::{Circuit, GateKind};
+///
+/// let mut c = Circuit::new("clash");
+/// let a = c.add_input("n2");
+/// let b = c.add_input("b");
+/// let g = c.add_gate(GateKind::And, vec![a, b])?; // unnamed, id 2
+/// c.add_output(g, "y");
+/// assert_eq!(node_names(&c), ["n2", "b", "n2_2"]);
+/// assert!(parse(&write(&c), "clash").is_ok());
+/// # Ok::<(), sft_netlist::NetlistError>(())
+/// ```
+pub fn node_names(c: &Circuit) -> Vec<String> {
+    // Every synthetic name starts with `n`, so only such names can clash.
+    // Plain `n<id>` names never clash with each other, and a suffixed
+    // `n<id>_<k>` never equals a plain one or one with another id. An
+    // output label spelling its own unnamed driver's `n<id>` names that
+    // driver rather than a second signal, so it takes nothing away.
+    let labels = c.outputs().iter().enumerate().filter_map(|(slot, &o)| {
+        let label = c.output_name(slot)?;
+        let own = c.node(o).name().is_none() && label == format!("n{}", o.index());
+        (!own).then_some(label)
+    });
+    let taken: HashSet<&str> = c
+        .iter()
+        .filter_map(|(_, node)| node.name())
+        .chain(labels)
+        .filter(|name| name.starts_with('n'))
+        .collect();
+    c.iter()
+        .map(|(id, node)| match node.name() {
+            Some(n) => n.to_string(),
+            None => {
+                let base = format!("n{}", id.index());
+                if !taken.contains(base.as_str()) {
+                    return base;
+                }
+                (2usize..)
+                    .map(|k| format!("{base}_{k}"))
+                    .find(|name| !taken.contains(name.as_str()))
+                    .expect("a free suffix exists")
+            }
+        })
+        .collect()
+}
+
 /// Serializes a circuit to `.bench` text. Unnamed nodes get synthetic
-/// `n<id>` names; the output is parseable by [`parse`].
+/// names ([`node_names`]); the output is parseable by [`parse`].
 ///
 /// Gate definitions are emitted in a canonical order — by logic level, ties
 /// broken by signal name — which depends only on the named structure, not
@@ -213,13 +267,7 @@ pub fn write(c: &Circuit) -> String {
     // One name per node, materialized once: the old per-use closure
     // allocated a fresh `String` for every fanin reference, which dominated
     // serialization time (and memory churn) on 100K+-gate circuits.
-    let names: Vec<String> = c
-        .iter()
-        .map(|(id, node)| match node.name() {
-            Some(n) => n.to_string(),
-            None => format!("n{}", id.index()),
-        })
-        .collect();
+    let names = node_names(c);
     let name_of = |id: NodeId| -> &str { &names[id.index()] };
     // Estimate: every node appears once as a target and once per fanin
     // reference, plus fixed per-line syntax.
@@ -295,6 +343,36 @@ OUTPUT(23)
 22 = NAND(10, 16)
 23 = NAND(16, 19)
 ";
+
+    /// An input named `n2` next to an unnamed gate at id 2: the gate's
+    /// synthetic name must not shadow the input, or the text reads
+    /// `n2 = AND(n2, b)` and the parser rejects the duplicate definition.
+    #[test]
+    fn synthetic_names_avoid_taken_names() {
+        let mut c = Circuit::new("clash");
+        let a = c.add_input("n2");
+        let b = c.add_input("b");
+        let g = c.add_gate(GateKind::And, vec![a, b]).unwrap();
+        c.add_output(g, "y");
+        let text = write(&c);
+        assert_eq!(
+            text,
+            "# clash\nINPUT(n2)\nINPUT(b)\nOUTPUT(y)\nn2_2 = AND(n2, b)\ny = BUF(n2_2)\n"
+        );
+        let back = parse(&text, "clash").expect("writer output parses");
+        for m in 0..4u32 {
+            let v = [m & 1 == 1, m & 2 == 2];
+            assert_eq!(back.eval_assignment(&v), c.eval_assignment(&v), "minterm {m}");
+        }
+        // Without a clash the synthetic name stays plain, and a label that
+        // spells its own driver's synthetic name is not a clash.
+        let mut d = Circuit::new("plain");
+        let a = d.add_input("a");
+        let b = d.add_input("b");
+        let g = d.add_gate(GateKind::And, vec![a, b]).unwrap();
+        d.add_output(g, "n2");
+        assert_eq!(write(&d), "# plain\nINPUT(a)\nINPUT(b)\nOUTPUT(n2)\nn2 = AND(a, b)\n");
+    }
 
     #[test]
     fn parse_c17() {

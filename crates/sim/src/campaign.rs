@@ -15,39 +15,20 @@
 //! estimated work is below [`CampaignConfig::parallel_grain`] runs inline
 //! too instead of paying thread-spawn latency.
 //!
-//! Campaigns are also **width-deterministic**: with a wide simulation word
-//! ([`CampaignConfig::width`]) the engine sweeps [`SimWord::LANES`]
-//! consecutive 64-pattern blocks per pass, but lane `l` of a wide sweep
-//! carries exactly block `base + l` of the same seeded stream, and merging
-//! still happens per 64-pattern block in strict order — so detection
-//! indices, effective-pattern statistics and plateau stops are bit-identical
-//! at every width, which the tests pin.
+//! Each sweep carries a [`W256`] word: four consecutive 64-pattern blocks
+//! per pass, lane `l` carrying exactly block `base + l` of the seeded
+//! stream. Merging still happens per 64-pattern block in strict order, so
+//! detection indices, effective-pattern statistics and plateau stops are
+//! exactly those of a 64-pattern-at-a-time loop.
 
-use crate::ctrace::SimEngine;
 use crate::fsim::{FaultSimTables, WideFaultSim};
-use crate::word::{SimWord, W256, W512};
+use crate::word::{SimWord, W256};
 use crate::Fault;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sft_netlist::Circuit;
 use sft_par::{derive_seed, parallel_map, Jobs};
 use std::sync::{Arc, Mutex};
-
-/// Simulation word width used by [`campaign`] sweeps.
-///
-/// Results are bit-identical at every width; wider words simulate more
-/// pattern blocks per topological sweep (auto-vectorizable `[u64; N]`
-/// lanes), which is what makes 100K-gate campaigns tractable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SimWidth {
-    /// One 64-pattern block per sweep (the historical engine).
-    W64,
-    /// Four blocks — 256 patterns — per sweep.
-    #[default]
-    W256,
-    /// Eight blocks — 512 patterns — per sweep.
-    W512,
-}
 
 /// Configuration of a random-pattern campaign.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,14 +52,6 @@ pub struct CampaignConfig {
     /// keeps the tail of a campaign serial. Results are bit-identical at
     /// any value; `0` forces slicing whenever `jobs` allows it.
     pub parallel_grain: u64,
-    /// Simulation word width. Results are bit-identical at any value.
-    pub width: SimWidth,
-    /// Detection engine. Results are bit-identical at any value; `Ctrace`
-    /// (the default) derives FFR-internal detections from one backward
-    /// sensitization sweep per stem and gates stem observability at
-    /// immediate dominators, `Wide` keeps the explicit per-fault
-    /// propagation of PR 6 as an escape hatch.
-    pub engine: SimEngine,
 }
 
 impl Default for CampaignConfig {
@@ -89,8 +62,6 @@ impl Default for CampaignConfig {
             seed: 0x5f7,
             jobs: Jobs::serial(),
             parallel_grain: 2_000_000,
-            width: SimWidth::default(),
-            engine: SimEngine::default(),
         }
     }
 }
@@ -160,26 +131,25 @@ pub fn pattern_block(seed: u64, block: u64, num_inputs: usize) -> Vec<u64> {
     (0..num_inputs).map(|_| rng.gen()).collect()
 }
 
-/// Simulates up to `W::LANES` consecutive blocks in one wide sweep and
-/// returns one wide detection mask per fault; lane `l` of a mask is the
-/// 64-pattern mask of block `block_ids[l]`. Unused lanes are zero-filled
-/// and never read back, so a partial stride is still exact. The masks stay
-/// in wide form — the merge loop extracts lanes on the fly instead of
-/// materializing a per-block `Vec<u64>` split (which would cost an extra
-/// multi-megabyte allocation and a full pass per stride on scale fault
-/// lists, paid identically by every engine).
-fn detect_stride<W: SimWord>(
-    fsim: &mut WideFaultSim<W>,
+/// Simulates up to four consecutive blocks in one wide sweep and returns
+/// one wide detection mask per fault; lane `l` of a mask is the 64-pattern
+/// mask of block `block_ids[l]`. Unused lanes are zero-filled and never
+/// read back, so a partial stride is still exact. The masks stay in wide
+/// form — the merge loop extracts lanes on the fly instead of materializing
+/// a per-block `Vec<u64>` split (which would cost an extra multi-megabyte
+/// allocation and a full pass per stride on scale fault lists).
+fn detect_stride(
+    fsim: &mut WideFaultSim<W256>,
     faults: &[Fault],
     seed: u64,
     block_ids: &[u64],
     num_inputs: usize,
-) -> Vec<W> {
-    debug_assert!(!block_ids.is_empty() && block_ids.len() <= W::LANES);
+) -> Vec<W256> {
+    debug_assert!(!block_ids.is_empty() && block_ids.len() <= W256::LANES);
     let lanes: Vec<Vec<u64>> =
         block_ids.iter().map(|&b| pattern_block(seed, b, num_inputs)).collect();
-    let inputs: Vec<W> =
-        (0..num_inputs).map(|i| W::from_lanes(|l| lanes.get(l).map_or(0, |v| v[i]))).collect();
+    let inputs: Vec<W256> =
+        (0..num_inputs).map(|i| W256::from_lanes(|l| lanes.get(l).map_or(0, |v| v[i]))).collect();
     fsim.detect_masks(faults, &inputs)
 }
 
@@ -188,8 +158,8 @@ fn detect_stride<W: SimWord>(
 /// Patterns are drawn from seeded per-block RNG streams in blocks of 64;
 /// per-fault first detection indices are exact (bit-accurate within each
 /// block). Detected faults are dropped from subsequent strides, so the cost
-/// per block shrinks as coverage saturates. [`CampaignConfig::width`]
-/// selects how many blocks one topological sweep carries.
+/// per block shrinks as coverage saturates. One topological sweep carries
+/// four blocks ([`W256`]).
 ///
 /// With `config.jobs > 1`, every stride's live-fault list is sliced
 /// contiguously across up to `jobs` workers (each worker slot keeps a
@@ -197,7 +167,7 @@ fn detect_stride<W: SimWord>(
 /// the per-slice masks concatenate back in fault order — exactly the
 /// single-simulator masks. The result — including every detection index,
 /// the effective-pattern statistic and the plateau-rule stopping point —
-/// is therefore **bit-identical** to the serial 64-bit run, and the
+/// is therefore **bit-identical** to the serial run, and the
 /// parallel run does the same total fault work as the serial one (faults
 /// drop globally after every stride). Strides whose estimated work falls
 /// under [`CampaignConfig::parallel_grain`] run inline.
@@ -206,18 +176,6 @@ fn detect_stride<W: SimWord>(
 ///
 /// Panics if the circuit is cyclic.
 pub fn campaign(circuit: &Circuit, faults: &[Fault], config: &CampaignConfig) -> CampaignResult {
-    match config.width {
-        SimWidth::W64 => campaign_wide::<u64>(circuit, faults, config),
-        SimWidth::W256 => campaign_wide::<W256>(circuit, faults, config),
-        SimWidth::W512 => campaign_wide::<W512>(circuit, faults, config),
-    }
-}
-
-fn campaign_wide<W: SimWord>(
-    circuit: &Circuit,
-    faults: &[Fault],
-    config: &CampaignConfig,
-) -> CampaignResult {
     let num_inputs = circuit.inputs().len();
     let tables = FaultSimTables::snapshot(circuit);
     // One simulator for inline strides plus one per worker slot for sliced
@@ -225,9 +183,9 @@ fn campaign_wide<W: SimWord>(
     // the O(nodes) scratch buffers are the expensive part of simulator
     // setup. Each parallel work item locks the simulator of its own slice
     // index, so the locks are never contended.
-    let mut inline_fsim: Option<WideFaultSim<W>> = None;
-    let mut worker_fsims: Vec<Mutex<WideFaultSim<W>>> = Vec::new();
-    let lanes = W::LANES as u64;
+    let mut inline_fsim: Option<WideFaultSim<W256>> = None;
+    let mut worker_fsims: Vec<Mutex<WideFaultSim<W256>>> = Vec::new();
+    let lanes = W256::LANES as u64;
 
     let mut detection: Vec<Option<u64>> = vec![None; faults.len()];
     // Global indices of still-undetected faults; compacted as faults fall.
@@ -264,21 +222,18 @@ fn campaign_wide<W: SimWord>(
         let stride_cost =
             (alive.len() as u64).saturating_mul(circuit.len() as u64).saturating_mul(chunk.max(1));
         let workers = config.jobs.get().min(alive_faults.len());
-        let masks: Vec<W> =
+        let masks: Vec<W256> =
             if config.jobs.is_serial() || workers <= 1 || stride_cost <= config.parallel_grain {
-                let fsim = inline_fsim.get_or_insert_with(|| {
-                    WideFaultSim::with_tables(Arc::clone(&tables)).with_engine(config.engine)
-                });
+                let fsim = inline_fsim
+                    .get_or_insert_with(|| WideFaultSim::with_tables(Arc::clone(&tables)));
                 detect_stride(fsim, &alive_faults, config.seed, &ids, num_inputs)
             } else {
                 while worker_fsims.len() < workers {
-                    worker_fsims.push(Mutex::new(
-                        WideFaultSim::with_tables(Arc::clone(&tables)).with_engine(config.engine),
-                    ));
+                    worker_fsims.push(Mutex::new(WideFaultSim::with_tables(Arc::clone(&tables))));
                 }
                 let per = alive_faults.len().div_ceil(workers);
                 let slices: Vec<&[Fault]> = alive_faults.chunks(per).collect();
-                let per_slice: Vec<Vec<W>> = parallel_map(config.jobs, &slices, |si, slice| {
+                let per_slice: Vec<Vec<W256>> = parallel_map(config.jobs, &slices, |si, slice| {
                     let mut fsim = worker_fsims[si].lock().expect("worker simulators never panic");
                     detect_stride(&mut fsim, slice, config.seed, &ids, num_inputs)
                 });
@@ -313,7 +268,7 @@ fn campaign_wide<W: SimWord>(
                 };
             if all_dead || plateaued {
                 // Later lanes of this stride are discarded, exactly as a
-                // 64-bit loop would never have simulated them.
+                // block-at-a-time loop would never have simulated them.
                 stopped = true;
                 break;
             }
@@ -409,7 +364,6 @@ INPUT(1)\nINPUT(2)\nINPUT(3)\nINPUT(6)\nINPUT(7)\nOUTPUT(22)\nOUTPUT(23)\n\
                             seed: 9,
                             jobs: Jobs::new(jobs),
                             parallel_grain: grain,
-                            ..CampaignConfig::default()
                         },
                     );
                     assert_eq!(
@@ -421,10 +375,46 @@ INPUT(1)\nINPUT(2)\nINPUT(3)\nINPUT(6)\nINPUT(7)\nOUTPUT(22)\nOUTPUT(23)\n\
         }
     }
 
-    /// The width contract: 64-, 256- and 512-bit sweeps produce the
-    /// bit-identical campaign result, serial and parallel alike.
+    /// The loop a four-block sweep must reproduce: one `u64` block at a
+    /// time, faults dropped after every block, the same tail mask and
+    /// plateau rule.
+    fn block_at_a_time(c: &Circuit, faults: &[Fault], config: &CampaignConfig) -> CampaignResult {
+        let mut fsim = WideFaultSim::<u64>::new(c);
+        let mut detection: Vec<Option<u64>> = vec![None; faults.len()];
+        let (mut last, mut applied, mut block) = (None, 0u64, 0u64);
+        while applied < config.max_patterns && detection.contains(&None) {
+            let size = (config.max_patterns - applied).min(64);
+            let alive: Vec<usize> = (0..faults.len()).filter(|&i| detection[i].is_none()).collect();
+            let alive_faults: Vec<Fault> = alive.iter().map(|&i| faults[i]).collect();
+            let words = pattern_block(config.seed, block, c.inputs().len());
+            for (&i, mask) in alive.iter().zip(fsim.detect_masks(&alive_faults, &words)) {
+                let mask = if size < 64 { mask & ((1u64 << size) - 1) } else { mask };
+                if mask != 0 {
+                    let p = applied + u64::from(mask.trailing_zeros());
+                    detection[i] = Some(p);
+                    last = Some(last.map_or(p, |l: u64| l.max(p)));
+                }
+            }
+            applied += size;
+            block += 1;
+            if config.plateau > 0 && applied - last.unwrap_or(0) > config.plateau {
+                break;
+            }
+        }
+        CampaignResult {
+            total_faults: faults.len(),
+            detected: detection.iter().flatten().count(),
+            detection_pattern: detection,
+            last_effective_pattern: last,
+            patterns_applied: applied,
+        }
+    }
+
+    /// Sweeping four blocks per pass changes nothing: detection indices,
+    /// the effective-pattern statistic and the plateau stop (which may land
+    /// mid-stride) equal the block-at-a-time loop, serial and parallel.
     #[test]
-    fn word_width_does_not_change_results() {
+    fn wide_sweeps_match_block_at_a_time_loop() {
         let c = sft_circuits::random::random_circuit(&sft_circuits::random::RandomCircuitConfig {
             inputs: 12,
             outputs: 6,
@@ -433,34 +423,15 @@ INPUT(1)\nINPUT(2)\nINPUT(3)\nINPUT(6)\nINPUT(7)\nOUTPUT(22)\nOUTPUT(23)\n\
             seed: 21,
         });
         let faults = fault_list(&c);
-        for (max_patterns, plateau) in [(1000, 0), (1 << 14, 300)] {
-            let reference = campaign(
-                &c,
-                &faults,
-                &CampaignConfig {
-                    max_patterns,
-                    plateau,
-                    seed: 13,
-                    width: SimWidth::W64,
-                    ..CampaignConfig::default()
-                },
-            );
-            for width in [SimWidth::W64, SimWidth::W256, SimWidth::W512] {
-                for jobs in [Jobs::serial(), Jobs::new(4)] {
-                    let r = campaign(
-                        &c,
-                        &faults,
-                        &CampaignConfig {
-                            max_patterns,
-                            plateau,
-                            seed: 13,
-                            jobs,
-                            width,
-                            ..CampaignConfig::default()
-                        },
-                    );
-                    assert_eq!(reference, r, "width={width:?} jobs={jobs:?} max={max_patterns}");
-                }
+        for (max_patterns, plateau) in [(1000, 0), (1 << 14, 300), (130, 0)] {
+            let reference = block_at_a_time(&c, &faults, &cfg(max_patterns, plateau, 13));
+            for jobs in [Jobs::serial(), Jobs::new(4)] {
+                let r = campaign(
+                    &c,
+                    &faults,
+                    &CampaignConfig { jobs, ..cfg(max_patterns, plateau, 13) },
+                );
+                assert_eq!(reference, r, "jobs={jobs:?} max={max_patterns} plateau={plateau}");
             }
         }
     }
@@ -507,7 +478,6 @@ INPUT(1)\nINPUT(2)\nINPUT(3)\nINPUT(6)\nINPUT(7)\nOUTPUT(22)\nOUTPUT(23)\n\
                     seed: 3,
                     jobs: Jobs::new(4),
                     parallel_grain: 0,
-                    ..Default::default()
                 },
             );
             assert_eq!(serial, par, "max_patterns={max_patterns}");
@@ -545,31 +515,27 @@ INPUT(1)\nINPUT(2)\nINPUT(3)\nINPUT(6)\nINPUT(7)\nOUTPUT(22)\nOUTPUT(23)\n\
     }
 
     /// A tail block shorter than 64 patterns must mask detections past the
-    /// configured maximum identically at any thread count and word width.
+    /// configured maximum identically at any thread count.
     #[test]
     fn tail_block_masked_consistently() {
         let c = parse(C17, "c17").unwrap();
         let faults = fault_list(&c);
         for max in [1, 63, 65, 130] {
             let serial = campaign(&c, &faults, &cfg(max, 0, 11));
-            for width in [SimWidth::W64, SimWidth::W256, SimWidth::W512] {
-                // grain 0 keeps every stride its own work item so the tail
-                // block really crosses the parallel merge.
-                let par = campaign(
-                    &c,
-                    &faults,
-                    &CampaignConfig {
-                        max_patterns: max,
-                        plateau: 0,
-                        seed: 11,
-                        jobs: Jobs::new(4),
-                        parallel_grain: 0,
-                        width,
-                        ..CampaignConfig::default()
-                    },
-                );
-                assert_eq!(serial, par, "max_patterns={max} width={width:?}");
-            }
+            // grain 0 keeps every stride its own work item so the tail
+            // block really crosses the parallel merge.
+            let par = campaign(
+                &c,
+                &faults,
+                &CampaignConfig {
+                    max_patterns: max,
+                    plateau: 0,
+                    seed: 11,
+                    jobs: Jobs::new(4),
+                    parallel_grain: 0,
+                },
+            );
+            assert_eq!(serial, par, "max_patterns={max}");
             assert!(serial.patterns_applied <= max);
             assert!(serial.detection_pattern.iter().flatten().all(|&p| p < max));
         }

@@ -1,9 +1,9 @@
 //! Critical-path tracing with dominator-shortcut stem observability.
 //!
-//! The wide engine ([`SimEngine::Wide`]) pays, per fault, a walk up the
-//! fault's fanout-free region (FFR) and, per stem, a full event propagation
-//! to the primary outputs. This module replaces both with structure-driven
-//! derivations that stay **bit-exact**:
+//! A direct parallel-pattern single-fault-propagation simulator pays, per
+//! fault, a walk up the fault's fanout-free region (FFR) and, per stem, a
+//! full event propagation to the primary outputs. This engine replaces both
+//! with structure-driven derivations that stay **bit-exact**:
 //!
 //! 1. **Sensitization inside FFRs.** An FFR is a tree: every interior node
 //!    feeds exactly one pin circuit-wide, so a single fault inside it
@@ -34,12 +34,11 @@
 //!    delivers there is exact, and `obs(r) = deliver(r -> d, full flip)
 //!    AND obs(d)` — chains of stems collapse into one cached propagation
 //!    per dominator region instead of one full cone sweep per stem. A node
-//!    with no proper dominator (`idom = None`) falls back to the wide
-//!    engine's full propagation.
+//!    with no proper dominator (`idom = None`) falls back to a full event
+//!    propagation to the outputs.
 //!
 //! Both derivations are pinned bit-identical to explicit per-fault
-//! simulation by the crate's brute-force tests; coverage and detection
-//! decisions cannot drift between engines, only time moves.
+//! faulty-machine simulation by the crate's brute-force oracle tests.
 
 use crate::fsim::WideFaultSim;
 use crate::soa::{PackedKind, SoaCircuit, NONE};
@@ -56,47 +55,11 @@ use std::sync::Arc;
 /// gate-by-gate walk with one cached-sensitization AND per region.
 pub(crate) const DEFER_MIN_REGION: u32 = 16;
 
-/// Share threshold for the cached full-flip observability in the ctrace
-/// engine (cf. `OBS_SHARE_MIN` for the wide engine). Deferral makes the
-/// full-flip propagation cheaper for ctrace, so caching pays off for
-/// smaller shares than in the wide engine.
-pub(crate) const OBS_SHARE_MIN_CT: u32 = 2;
-
-/// Detection algorithm used by [`WideFaultSim`] (and therefore campaigns
-/// and test generation). Both engines produce bit-identical detection
-/// masks on every circuit — the choice is purely a performance dial, with
-/// `Ctrace` the default and `Wide` kept as an escape hatch (`--engine wide`
-/// on the CLI).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SimEngine {
-    /// Per-fault FFR walk plus full-flip/actual-deviation stem propagation
-    /// (the PR 6 engine).
-    Wide,
-    /// Critical-path tracing inside FFRs plus dominator-shortcut stem
-    /// observability.
-    #[default]
-    Ctrace,
-}
-
-impl SimEngine {
-    /// Parses the CLI spelling (`wide` / `ctrace`).
-    pub fn parse(s: &str) -> Option<SimEngine> {
-        match s {
-            "wide" => Some(SimEngine::Wide),
-            "ctrace" => Some(SimEngine::Ctrace),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for SimEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SimEngine::Wide => "wide",
-            SimEngine::Ctrace => "ctrace",
-        })
-    }
-}
+/// Minimum number of live faults on one FFR root before its full-flip
+/// observability is computed and cached for the block. Below this, the
+/// fault's own deviation is propagated region by region instead, which dies
+/// as early as the deviation does.
+pub(crate) const OBS_SHARE_MIN: u32 = 2;
 
 /// The side-pin sensitization condition of `head` with respect to its fanin
 /// `node`: the per-pattern mask on which flipping `node` flips `head`'s
@@ -138,8 +101,16 @@ fn pin_sens<W: SimWord>(soa: &SoaCircuit, good: &[W], head: usize, node: u32) ->
 }
 
 impl<W: SimWord> WideFaultSim<W> {
-    /// The critical-path-tracing detection algorithm; see the module docs.
-    pub(crate) fn detect_masks_ctrace(&mut self, faults: &[Fault], input_words: &[W]) -> Vec<W> {
+    /// Simulates one block of `64 * W::LANES` patterns and returns, for each
+    /// fault, the word whose set bits are the patterns that detect it: one
+    /// sensitization sweep per fanout-free region resolves the faults inside
+    /// it, and stem observability is resolved through the dominator chain
+    /// and cached for the block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input_words.len()` differs from the number of inputs.
+    pub fn detect_masks(&mut self, faults: &[Fault], input_words: &[W]) -> Vec<W> {
         let tables = Arc::clone(self.tables());
         let soa = &tables.soa;
         self.begin_block(soa, faults, input_words);
@@ -210,12 +181,12 @@ impl<W: SimWord> WideFaultSim<W> {
             if self.obs_epoch[i] == self.epoch {
                 return dev.and(self.obs[i]);
             }
-            if node != root || self.root_share[i] >= OBS_SHARE_MIN_CT {
+            if node != root || self.root_share[i] >= OBS_SHARE_MIN {
                 return dev.and(self.chain_obs(soa, node));
             }
             let d = soa.idom[i];
             if d == NONE {
-                return self.propagate_deviation_ct(soa, node, dev);
+                return self.propagate_deviation(soa, node, dev);
             }
             dev = self.propagate_to(soa, node, dev, d);
             if dev.is_zero() {
@@ -245,7 +216,7 @@ impl<W: SimWord> WideFaultSim<W> {
         for &y in chain.iter().rev() {
             let i = y as usize;
             let o = match soa.idom[i] {
-                NONE => self.propagate_deviation_ct(soa, y, W::ONES),
+                NONE => self.propagate_deviation(soa, y, W::ONES),
                 d => {
                     let upper = self.obs[d as usize];
                     if upper.is_zero() {
@@ -263,8 +234,8 @@ impl<W: SimWord> WideFaultSim<W> {
     }
 
     /// Event-propagates a deviation of `dev` at `seed` through its fanout
-    /// cone, like [`WideFaultSim::propagate_deviation`], but with **FFR
-    /// entry deferral**: an excitation of a node interior to a fanout-free
+    /// cone and returns the per-pattern mask of outputs that change, with
+    /// **FFR entry deferral**: an excitation of a node interior to a fanout-free
     /// region is recorded as a *touch* instead of being evaluated, and the
     /// whole region resolves as one unit the moment every event
     /// topologically at or before its root has been processed (the touch
@@ -286,7 +257,7 @@ impl<W: SimWord> WideFaultSim<W> {
     ///
     /// Either way a surviving deviation at the root re-enters normal event
     /// propagation.
-    fn propagate_deviation_ct(&mut self, soa: &SoaCircuit, seed: u32, dev: W) -> W {
+    fn propagate_deviation(&mut self, soa: &SoaCircuit, seed: u32, dev: W) -> W {
         let s = seed as usize;
         let mut detected = W::ZERO;
         self.faulty[s] = self.good[s].xor(dev);
@@ -363,7 +334,7 @@ impl<W: SimWord> WideFaultSim<W> {
     }
 
     /// Resolves one deferred fanout-free region (see
-    /// [`propagate_deviation_ct`](Self::propagate_deviation_ct)): computes
+    /// [`propagate_deviation`](Self::propagate_deviation)): computes
     /// the deviation delivered at root `r`, marks the root and pushes its
     /// fanouts if it survives, and returns the root's output contribution.
     /// Every fanin outside the region has settled when this runs, so both
@@ -501,7 +472,7 @@ impl<W: SimWord> WideFaultSim<W> {
         }
         // Dominator regions are typically a handful of gates between a stem
         // and its confluence point, so a plain by-position heap beats the
-        // level sweep of `propagate_deviation_ct` here (the sweep's
+        // level sweep of `propagate_deviation` here (the sweep's
         // per-level bookkeeping outweighs its dedup savings on regions this
         // small — measured on the stitched scale suite).
         let mut delivered = W::ZERO;
@@ -565,124 +536,4 @@ impl<W: SimWord> WideFaultSim<W> {
 #[inline]
 fn eval_gate<W: SimWord>(soa: &SoaCircuit, i: usize, faulty: &[W]) -> W {
     crate::soa::eval_gate(soa.kinds[i], soa.fanin_slice(i), |_, f| faulty[f as usize])
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::campaign::{campaign, CampaignConfig};
-    use crate::fsim::FaultSimTables;
-    use crate::word::W256;
-    use crate::{fault_list, pattern_block};
-    use sft_circuits::random::{random_circuit, RandomCircuitConfig};
-    use sft_par::Jobs;
-
-    /// The core bit-identity contract: for every fault and every pattern,
-    /// the ctrace engine's detection mask equals the wide engine's, at u64
-    /// and at wide word widths, across several blocks (so the per-block
-    /// caches are exercised repeatedly).
-    #[test]
-    fn ctrace_masks_are_bit_identical_to_wide() {
-        for seed in [1u64, 9, 33, 77] {
-            let c = random_circuit(&RandomCircuitConfig {
-                inputs: 16,
-                outputs: 8,
-                gates: 220,
-                window: 24, // deep: long stem chains, real dominator regions
-                seed,
-            });
-            let faults = fault_list(&c);
-            let tables = Arc::new(FaultSimTables::new(&c));
-            let mut wide =
-                WideFaultSim::<u64>::with_tables(Arc::clone(&tables)).with_engine(SimEngine::Wide);
-            let mut ctrace = WideFaultSim::<u64>::with_tables(Arc::clone(&tables))
-                .with_engine(SimEngine::Ctrace);
-            let num_inputs = c.inputs().len();
-            for block in 0..6 {
-                let words = pattern_block(0xC0FFEE ^ seed, block, num_inputs);
-                let a = wide.detect_masks(&faults, &words);
-                let b = ctrace.detect_masks(&faults, &words);
-                assert_eq!(a, b, "seed {seed} block {block}");
-            }
-
-            let mut wide256 =
-                WideFaultSim::<W256>::with_tables(Arc::clone(&tables)).with_engine(SimEngine::Wide);
-            let mut ctrace256 =
-                WideFaultSim::<W256>::with_tables(tables).with_engine(SimEngine::Ctrace);
-            let blocks: Vec<Vec<u64>> =
-                (0..W256::LANES as u64).map(|b| pattern_block(seed, b, num_inputs)).collect();
-            let inputs: Vec<W256> =
-                (0..num_inputs).map(|i| W256::from_lanes(|l| blocks[l][i])).collect();
-            assert_eq!(
-                wide256.detect_masks(&faults, &inputs),
-                ctrace256.detect_masks(&faults, &inputs),
-                "seed {seed} wide word"
-            );
-        }
-    }
-
-    /// Campaign results — detection indices, effective-pattern statistic,
-    /// plateau stop — are identical between engines at 1 and N threads.
-    #[test]
-    fn campaign_is_engine_independent_at_any_thread_count() {
-        let c = random_circuit(&RandomCircuitConfig {
-            inputs: 12,
-            outputs: 6,
-            gates: 120,
-            window: 18,
-            seed: 5,
-        });
-        let faults = fault_list(&c);
-        for (max_patterns, plateau) in [(2048, 0), (1 << 14, 256)] {
-            let mut reference = None;
-            for engine in [SimEngine::Wide, SimEngine::Ctrace] {
-                for jobs in [Jobs::serial(), Jobs::new(4)] {
-                    let r = campaign(
-                        &c,
-                        &faults,
-                        &CampaignConfig {
-                            max_patterns,
-                            plateau,
-                            seed: 17,
-                            jobs,
-                            parallel_grain: 0,
-                            engine,
-                            ..CampaignConfig::default()
-                        },
-                    );
-                    match &reference {
-                        None => reference = Some(r),
-                        Some(reference) => {
-                            assert_eq!(reference, &r, "engine={engine} jobs={jobs:?}");
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// XOR checksum trees: the stitched shape where stems chain through
-    /// dominators — the regime the shortcut exists for. Masks must still be
-    /// identical between engines.
-    #[test]
-    fn ctrace_matches_wide_on_stitched_checksum_trees() {
-        let c = sft_circuits::gen::stitched(
-            6,
-            &RandomCircuitConfig { inputs: 10, outputs: 4, gates: 80, window: 12, seed: 2 },
-        );
-        let faults = fault_list(&c);
-        let tables = Arc::new(FaultSimTables::new(&c));
-        let mut wide =
-            WideFaultSim::<u64>::with_tables(Arc::clone(&tables)).with_engine(SimEngine::Wide);
-        let mut ctrace = WideFaultSim::<u64>::with_tables(tables).with_engine(SimEngine::Ctrace);
-        let num_inputs = c.inputs().len();
-        for block in 0..4 {
-            let words = pattern_block(0x57AB, block, num_inputs);
-            assert_eq!(
-                wide.detect_masks(&faults, &words),
-                ctrace.detect_masks(&faults, &words),
-                "block {block}"
-            );
-        }
-    }
 }

@@ -8,23 +8,22 @@
 //! - [`Fault`]/[`FaultSite`] — single stuck-at faults on stems and fanout
 //!   branches, with [`fault_list`] and equivalence [`collapse`];
 //! - [`FaultSim`]/[`WideFaultSim`] — parallel-pattern single-fault
-//!   propagation restricted to the fault's fanout cone, with fanout-free
-//!   regions grouped so faults sharing a stem share one cone propagation
-//!   ([`FaultSimTables`] holds the read-only [`SoaCircuit`] precomputation
-//!   so concurrent simulators share one copy). Two bit-identical engines
-//!   ([`SimEngine`]): the default critical-path-tracing engine derives all
-//!   FFR-internal detections from one backward sensitization sweep per
-//!   stem and gates stem observability at immediate dominators, while
-//!   `wide` keeps the explicit per-fault propagation as an escape hatch;
+//!   propagation by critical-path tracing: one backward sensitization sweep
+//!   per fanout-free region resolves every fault inside it, and stem
+//!   observability is gated at immediate dominators and cached per block,
+//!   so faults sharing a stem share one propagation ([`FaultSimTables`]
+//!   holds the read-only [`SoaCircuit`] precomputation so concurrent
+//!   simulators share one copy). A brute-force faulty-machine oracle in
+//!   the crate's tests pins the masks fault by fault and pattern by
+//!   pattern;
 //! - [`SimWord`] — the simulation word abstraction: `u64` (64 patterns per
-//!   sweep) or the auto-vectorizable wide blocks [`W256`]/[`W512`];
+//!   sweep) or the auto-vectorizable 256-bit block [`W256`];
 //! - [`campaign`] — the random-pattern testability experiment driver used by
 //!   Table 6 of the paper (fault coverage, remaining faults, last effective
-//!   pattern). Campaigns run pattern blocks on
-//!   [`CampaignConfig::jobs`] worker threads at a configurable word width
-//!   ([`SimWidth`]) with bit-identical results at any thread count and any
-//!   width ([`pattern_block`] derives each block's patterns purely from
-//!   `(seed, block)`).
+//!   pattern). Campaigns sweep four pattern blocks at a time on
+//!   [`CampaignConfig::jobs`] worker threads with bit-identical results at
+//!   any thread count ([`pattern_block`] derives each block's patterns
+//!   purely from `(seed, block)`).
 //!
 //! # Examples
 //!
@@ -47,14 +46,15 @@ mod fault;
 mod fsim;
 mod logic;
 mod measures;
+#[cfg(test)]
+mod oracle;
 mod soa;
 mod word;
 
-pub use campaign::{campaign, pattern_block, CampaignConfig, CampaignResult, SimWidth};
-pub use ctrace::SimEngine;
+pub use campaign::{campaign, pattern_block, CampaignConfig, CampaignResult};
 pub use fault::{collapse, fault_list, Fault, FaultSite};
 pub use fsim::{FaultSim, FaultSimTables, WideFaultSim};
 pub use logic::Simulator;
 pub use measures::{cop_measures, CopMeasures};
 pub use soa::{PackedKind, SoaCircuit};
-pub use word::{SimWord, W256, W512};
+pub use word::{SimWord, W256};

@@ -581,7 +581,7 @@ impl SoaCircuit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::word::{W256, W512};
+    use crate::word::W256;
     use crate::Simulator;
     use sft_circuits::random::{random_circuit, RandomCircuitConfig};
     use sft_netlist::bench_format::parse;
@@ -621,23 +621,6 @@ INPUT(1)\nINPUT(2)\nINPUT(3)\nINPUT(6)\nINPUT(7)\nOUTPUT(22)\nOUTPUT(23)\n\
             let scalar = sim.eval(lane_words);
             for (i, &w) in wide.iter().enumerate() {
                 assert_eq!(w.lane(l), scalar[i], "node {i} lane {l}");
-            }
-        }
-    }
-
-    #[test]
-    fn wide_widths_agree_lane_for_lane() {
-        let c = parse(C17, "c17").unwrap();
-        let soa = SoaCircuit::new(&c);
-        let base: Vec<u64> = (0..5).map(|i| 0xA5A5_5A5A_F00D_BEEFu64 >> i).collect();
-        let w256: Vec<W256> = base.iter().map(|&w| W256::from_lanes(|l| w ^ l as u64)).collect();
-        let w512: Vec<W512> = base.iter().map(|&w| W512::from_lanes(|l| w ^ l as u64)).collect();
-        let (mut v256, mut v512) = (Vec::new(), Vec::new());
-        soa.eval_into(&w256, &mut v256);
-        soa.eval_into(&w512, &mut v512);
-        for i in 0..soa.len() {
-            for l in 0..W256::LANES {
-                assert_eq!(v256[i].lane(l), v512[i].lane(l), "node {i} lane {l}");
             }
         }
     }

@@ -1,18 +1,17 @@
-//! Fixed-width simulation words: 64, 256 and 512 patterns per sweep.
+//! Fixed-width simulation words: 64 or 256 patterns per sweep.
 //!
 //! Fault simulation is bit-parallel: every node value is a word whose bit
 //! `p` belongs to pattern `p`. [`SimWord`] abstracts the word so the same
-//! engine runs on plain `u64` (the historical 64-pattern block) or on fixed
-//! `[u64; N]` chunks ([`W256`], [`W512`]) that the compiler auto-vectorizes
-//! — no intrinsics, std only.
+//! engine runs on plain `u64` (the 64-pattern block) or on the fixed
+//! `[u64; 4]` chunk [`W256`] that the compiler auto-vectorizes — no
+//! intrinsics, std only.
 //!
 //! A wide word is laid out as [`SimWord::LANES`] consecutive 64-bit *lanes*;
 //! lane `l` of wide pattern-block `w` carries exactly the 64-pattern block
 //! `w * LANES + l` of the seeded stream (see
 //! [`pattern_block`](crate::pattern_block)). Because every per-pattern bit
 //! sits at the same `(lane, bit)` position regardless of width, campaign
-//! results are **bit-identical** across word widths, which the determinism
-//! tests pin.
+//! results are **bit-identical** across word widths, which the tests pin.
 
 /// A fixed-width pattern word: one value bit per simulated pattern,
 /// organised as [`Self::LANES`] 64-bit lanes.
@@ -90,88 +89,71 @@ impl SimWord for u64 {
     }
 }
 
-macro_rules! wide_word {
-    ($(#[$doc:meta])* $name:ident, $lanes:expr, $align:expr) => {
-        $(#[$doc])*
-        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-        #[repr(align($align))]
-        pub struct $name(pub [u64; $lanes]);
+/// A 256-bit simulation word: four 64-pattern lanes per sweep.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(align(32))]
+pub struct W256(pub [u64; 4]);
 
-        impl SimWord for $name {
-            const LANES: usize = $lanes;
-            const ZERO: Self = $name([0; $lanes]);
-            const ONES: Self = $name([u64::MAX; $lanes]);
+impl SimWord for W256 {
+    const LANES: usize = 4;
+    const ZERO: Self = W256([0; 4]);
+    const ONES: Self = W256([u64::MAX; 4]);
 
-            #[inline]
-            fn from_lanes(mut f: impl FnMut(usize) -> u64) -> Self {
-                let mut r = [0u64; $lanes];
-                for (i, lane) in r.iter_mut().enumerate() {
-                    *lane = f(i);
-                }
-                $name(r)
-            }
-
-            #[inline]
-            fn lane(self, i: usize) -> u64 {
-                self.0[i]
-            }
-
-            #[inline]
-            fn and(self, other: Self) -> Self {
-                let mut r = self.0;
-                for i in 0..$lanes {
-                    r[i] &= other.0[i];
-                }
-                $name(r)
-            }
-
-            #[inline]
-            fn or(self, other: Self) -> Self {
-                let mut r = self.0;
-                for i in 0..$lanes {
-                    r[i] |= other.0[i];
-                }
-                $name(r)
-            }
-
-            #[inline]
-            fn xor(self, other: Self) -> Self {
-                let mut r = self.0;
-                for i in 0..$lanes {
-                    r[i] ^= other.0[i];
-                }
-                $name(r)
-            }
-
-            #[inline]
-            fn not(self) -> Self {
-                let mut r = self.0;
-                for lane in r.iter_mut() {
-                    *lane = !*lane;
-                }
-                $name(r)
-            }
-
-            #[inline]
-            fn is_zero(self) -> bool {
-                self.0.iter().all(|&l| l == 0)
-            }
+    #[inline]
+    fn from_lanes(mut f: impl FnMut(usize) -> u64) -> Self {
+        let mut r = [0u64; 4];
+        for (i, lane) in r.iter_mut().enumerate() {
+            *lane = f(i);
         }
-    };
-}
+        W256(r)
+    }
 
-wide_word!(
-    /// A 256-bit simulation word: four 64-pattern lanes per sweep.
-    W256,
-    4,
-    32
-);
-wide_word!(
-    /// A 512-bit simulation word: eight 64-pattern lanes per sweep.
-    W512,
-    8,
-    64
-);
+    #[inline]
+    fn lane(self, i: usize) -> u64 {
+        self.0[i]
+    }
+
+    #[inline]
+    fn and(self, other: Self) -> Self {
+        let mut r = self.0;
+        for (a, b) in r.iter_mut().zip(other.0) {
+            *a &= b;
+        }
+        W256(r)
+    }
+
+    #[inline]
+    fn or(self, other: Self) -> Self {
+        let mut r = self.0;
+        for (a, b) in r.iter_mut().zip(other.0) {
+            *a |= b;
+        }
+        W256(r)
+    }
+
+    #[inline]
+    fn xor(self, other: Self) -> Self {
+        let mut r = self.0;
+        for (a, b) in r.iter_mut().zip(other.0) {
+            *a ^= b;
+        }
+        W256(r)
+    }
+
+    #[inline]
+    fn not(self) -> Self {
+        let mut r = self.0;
+        for lane in r.iter_mut() {
+            *lane = !*lane;
+        }
+        W256(r)
+    }
+
+    #[inline]
+    fn is_zero(self) -> bool {
+        self.0.iter().all(|&l| l == 0)
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -197,7 +179,6 @@ mod tests {
     fn lanes_are_independent_bit_vectors() {
         exercise::<u64>();
         exercise::<W256>();
-        exercise::<W512>();
     }
 
     #[test]

@@ -282,13 +282,13 @@ mod tests {
         let text = r#"{
   "benchmark": "scale",
   "circuits": [
-    {"name": "stitch400", "gates": 107000, "faults": 479000, "fault_classes": 301000, "faults_ctrace": 352000, "faults_dom": 410000, "detected": 208000, "coverage": 0.4342, "patterns_applied": 1024, "secs_classic_1_thread": 6.1000, "secs_wide_1_thread": 1.2000, "secs_1_thread": 0.7000, "secs_2_threads": 0.4100, "secs_4_threads": 0.2400, "secs_8_threads": 0.1900, "speedup_wide_vs_classic_1t": 5.083, "speedup_ctrace_vs_wide_1t": 1.714, "scaling_4_threads": 2.917}
+    {"name": "stitch400", "gates": 107000, "faults": 479000, "fault_classes": 301000, "faults_ctrace": 352000, "faults_dom": 410000, "detected": 208000, "coverage": 0.4342, "patterns_applied": 1024, "secs_classic_1_thread": 6.1000, "secs_1_thread": 0.7000, "secs_2_threads": 0.4100, "secs_4_threads": 0.2400, "secs_8_threads": 0.1900, "speedup_ctrace_vs_classic_1t": 8.714, "scaling_4_threads": 2.917}
   ]
 }"#;
         let rows = parse_rows(text).unwrap();
         assert_eq!(rows.len(), 1);
-        // The regression gate reads the ctrace serial time, not the wide
-        // or classic reference timings.
+        // The regression gate reads the ctrace serial time, not the
+        // classic reference timing.
         assert_eq!(rows[0].secs, 0.7);
         // `gates` must not also capture `gates_after`-style keys, and
         // `faults` must not capture `faults_ctrace`/`faults_dom`; the

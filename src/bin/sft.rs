@@ -40,11 +40,8 @@
 //! Results are bit-identical at any value; `--jobs 1` additionally
 //! restores the exact single-threaded execution order.
 //!
-//! Fault-simulation engine (testgen): `--engine ctrace` (default) resolves
-//! detections by critical-path tracing inside fanout-free regions with
-//! dominator-gated stem observability; `--engine wide` keeps the explicit
-//! per-fault propagation. The two are bit-identical — the flag is a
-//! performance escape hatch, never a result change.
+//! Fault simulation (testgen) resolves detections by critical-path tracing
+//! inside fanout-free regions with dominator-gated stem observability.
 //!
 //! `sft serve <root>` watches `<root>/jobs/incoming/` for `.bench`+`.job`
 //! pairs and writes results to `<root>/jobs/done|failed/`. Options:
@@ -63,7 +60,6 @@ use sft::delay::{pdf_campaign_with_budget, PdfCampaignConfig};
 use sft::io::{Format, WriteOptions};
 use sft::netlist::{export, Circuit};
 use sft::par::Jobs;
-use sft::sim::SimEngine;
 use sft::techmap::{map_circuit, Library};
 use std::process::ExitCode;
 use std::time::Duration;
@@ -135,7 +131,6 @@ const VALUE_OPTIONS: &[&str] = &[
     "--from",
     "--to",
     "--lut-k",
-    "--engine",
 ];
 
 /// Parses `--jobs` (default: all cores; `--jobs 1` = exact serial order).
@@ -144,16 +139,6 @@ fn jobs_from(args: &[String]) -> Result<Jobs, String> {
         (true, None) => Err("--jobs needs a value (a number, 0 or \"all\")".into()),
         (_, Some(v)) => v.parse().map_err(|e| format!("--jobs: {e}")),
         _ => Ok(Jobs::all_cores()),
-    }
-}
-
-fn engine_from(args: &[String]) -> Result<SimEngine, String> {
-    match (flag(args, "--engine"), opt(args, "--engine")) {
-        (true, None) => Err("--engine needs a value (wide or ctrace)".into()),
-        (_, Some(v)) => {
-            SimEngine::parse(&v).ok_or_else(|| format!("unknown engine {v:?} (wide or ctrace)"))
-        }
-        _ => Ok(SimEngine::default()),
     }
 }
 
@@ -302,11 +287,7 @@ fn run() -> Result<(), String> {
             let files = positionals(rest);
             let c = load(files.first().ok_or("testgen needs an input file")?, rest)?;
             let budget = budget_from(rest)?;
-            let opts = TestSetOptions {
-                jobs: jobs_from(rest)?,
-                engine: engine_from(rest)?,
-                ..TestSetOptions::default()
-            };
+            let opts = TestSetOptions { jobs: jobs_from(rest)?, ..TestSetOptions::default() };
             let set = generate_test_set_with_budget(&c, &opts, &budget);
             println!(
                 "# {} faults, {} redundant, {} aborted, {} untargeted, coverage {:.2}%",

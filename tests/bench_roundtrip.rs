@@ -1,13 +1,15 @@
 //! `.bench` round-trip property tests: `write` output must parse back, the
 //! write → parse → write composition must be a textual fixpoint, and the
 //! round-tripped circuit must compute the same function. Exercised on the
-//! full `irs*` substitute suite and on seeded random DAGs.
+//! full `irs*` substitute suite, on its Procedure-2 output and on seeded
+//! random DAGs.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sft_circuits::random::{random_circuit, RandomCircuitConfig};
 use sft_circuits::suite;
+use sft_core::{procedure2, ResynthOptions};
 use sft_netlist::bench_format::{parse, write};
 use sft_netlist::Circuit;
 
@@ -59,6 +61,18 @@ fn assert_roundtrip(c: &Circuit) {
 fn irs_suite_round_trips() {
     for entry in suite() {
         assert_roundtrip(&entry.circuit);
+    }
+}
+
+/// Procedure-2 output mixes parsed signal names with unnamed replacement
+/// gates, whose synthetic names must never shadow a parsed one.
+#[test]
+fn irs_suite_procedure2_output_round_trips() {
+    for entry in suite() {
+        let mut c = entry.circuit.clone();
+        procedure2(&mut c, &ResynthOptions { max_candidates_per_gate: 80, ..Default::default() })
+            .unwrap_or_else(|e| panic!("{}: resynthesis failed: {e}", entry.name));
+        assert_roundtrip(&c);
     }
 }
 

@@ -1,6 +1,6 @@
 //! Scale-tier integration tests: the `sft gen` generators must be
 //! deterministic, valid, `.bench`-canonical, and the wide-word campaign
-//! engine must be bit-identical across word widths and thread counts on a
+//! must be bit-identical to 64-pattern sweeps and across thread counts on a
 //! circuit large enough that fault-dropping, FFR stem grouping and the
 //! parallel merge all engage (the CI-sized version of the `BENCH_scale`
 //! acceptance run).
@@ -11,7 +11,7 @@ use sft::circuits::random::RandomCircuitConfig;
 use sft::netlist::bench_format::{parse, write};
 use sft::netlist::Circuit;
 use sft::par::Jobs;
-use sft::sim::{campaign, fault_list, CampaignConfig, SimWidth};
+use sft::sim::{campaign, fault_list, pattern_block, CampaignConfig, FaultSim};
 
 /// The writer contract on generated netlists: one round trip may
 /// materialize output aliases as named `BUF` gates, but the text is a
@@ -86,34 +86,39 @@ fn committed_corpus_matches_regenerated_output() {
 }
 
 /// The acceptance bit-identity check at CI-quick size: a ~50K-gate stitched
-/// circuit, campaign results compared between the 64-bit serial reference
-/// and wide words (256- and 512-bit) at 1 and 4 threads. Any divergence in
-/// detection indices, effective-pattern statistics or stop points fails.
+/// circuit, the 256-bit campaign at 1 and 4 threads compared with plain
+/// 64-pattern sweeps of the same three blocks. Any divergence in detection
+/// indices, effective-pattern statistics or stop points fails.
 #[test]
 fn wide_words_and_threads_are_bit_identical_on_50k_gates() {
     let core = RandomCircuitConfig { inputs: 32, outputs: 16, gates: 260, window: 56, seed: 0xB1 };
     let c = stitched(210, &core);
     assert!(c.two_input_gate_count() >= 50_000, "{} gates", c.two_input_gate_count());
     let faults = fault_list(&c);
-    let cfg = |width: SimWidth, jobs: Jobs| CampaignConfig {
+    let cfg = |jobs: Jobs| CampaignConfig {
         max_patterns: 192,
         plateau: 0,
         seed: 0x51f7,
         jobs,
-        width,
         ..CampaignConfig::default()
     };
-    let reference = campaign(&c, &faults, &cfg(SimWidth::W64, Jobs::serial()));
-    assert!(reference.detected > 0, "campaign must detect something at this size");
-    for width in [SimWidth::W64, SimWidth::W256, SimWidth::W512] {
-        for jobs in [Jobs::serial(), Jobs::new(4)] {
-            if width == SimWidth::W64 && jobs.is_serial() {
-                continue;
+    // Three 64-pattern blocks, each fault credited with its first detecting
+    // pattern.
+    let mut fsim = FaultSim::new(&c);
+    let mut first: Vec<Option<u64>> = vec![None; faults.len()];
+    for block in 0..3 {
+        let words = pattern_block(0x51f7, block, c.inputs().len());
+        for (f, mask) in first.iter_mut().zip(fsim.detect_masks(&faults, &words)) {
+            if f.is_none() && mask != 0 {
+                *f = Some(64 * block + u64::from(mask.trailing_zeros()));
             }
-            let r = campaign(&c, &faults, &cfg(width, jobs));
-            assert_eq!(reference, r, "width={width:?} jobs={jobs:?}");
         }
     }
+    assert!(first.iter().any(Option::is_some), "campaign must detect something at this size");
+    let serial = campaign(&c, &faults, &cfg(Jobs::serial()));
+    assert_eq!(serial.detection_pattern, first, "256-bit sweep vs 64-pattern blocks");
+    assert_eq!(serial.last_effective_pattern, first.iter().flatten().max().copied());
+    assert_eq!(serial, campaign(&c, &faults, &cfg(Jobs::new(4))), "jobs=4");
 }
 
 /// The at-scale path-count regression: a 100K-gate deep DAG overflows any
