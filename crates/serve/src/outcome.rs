@@ -114,8 +114,9 @@ fn json_escape(s: &str) -> String {
 }
 
 impl JobReport {
-    /// The report as one flat JSON line (with trailing newline), the same
-    /// shape `bench_check` and the CI smoke job consume.
+    /// The report as one flat JSON line (with trailing newline), the shape
+    /// `perfbench`'s `serve-batch` workload and the CI serve smoke step
+    /// read.
     pub fn to_json_line(&self) -> String {
         let mut fields: Vec<String> = vec![
             format!("\"job\":\"{}\"", json_escape(&self.job)),

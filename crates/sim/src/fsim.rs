@@ -330,7 +330,9 @@ impl<'c> FaultSim<'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::soa::PackedKind;
     use sft_netlist::bench_format::parse;
+    use sft_netlist::GateKind;
 
     #[test]
     fn redundant_fault_never_detected() {
@@ -368,5 +370,24 @@ mod tests {
         // either way; y flips). Both detected via y.
         assert_eq!(det[0], Some(0));
         assert_eq!(det[1], Some(0));
+    }
+
+    /// Campaign entry on an unchanged circuit reuses the cached tables; a
+    /// structural edit makes the next snapshot a fresh build.
+    #[test]
+    fn snapshot_is_shared_until_the_circuit_changes() {
+        let src = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n";
+        let mut c = parse(src, "t").unwrap();
+        let first = FaultSimTables::snapshot(&c);
+        assert!(Arc::ptr_eq(&first, &FaultSimTables::snapshot(&c)));
+
+        let y = c.outputs()[0];
+        let fanins = c.inputs().to_vec();
+        c.rewire(y, GateKind::Or, fanins).unwrap();
+        let second = FaultSimTables::snapshot(&c);
+        assert!(!Arc::ptr_eq(&first, &second));
+        assert_eq!(first.soa().kinds[y.index()], PackedKind::And);
+        assert_eq!(second.soa().kinds[y.index()], PackedKind::Or);
+        assert!(Arc::ptr_eq(&second, &FaultSimTables::snapshot(&c)));
     }
 }

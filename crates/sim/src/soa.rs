@@ -236,8 +236,8 @@ impl SoaCircuit {
     /// append-only construction guarantees — the topological sort
     /// disappears entirely. Fragmented or rewired circuits fall back to a
     /// span-walk copy and a flat Kahn pass over the CSR; no path touches
-    /// per-node heap vectors or the name table. Differentially tested
-    /// against [`rebuild`](Self::rebuild).
+    /// per-node heap vectors or the name table. The unit tests check it
+    /// against `rebuild`, a test-only build through the pre-arena walk.
     ///
     /// # Panics
     ///
@@ -287,14 +287,14 @@ impl SoaCircuit {
     /// a per-node walk through [`Circuit::iter`] and a from-scratch
     /// [`Circuit::topo_order`] (which allocates per-node fanout vectors).
     ///
-    /// Kept as the differential-testing oracle for [`new`](Self::new) and
-    /// as the campaign-entry baseline the arena speedup is measured
-    /// against; engines never call it.
+    /// The differential-testing oracle for [`new`](Self::new); engines
+    /// never call it.
     ///
     /// # Panics
     ///
     /// Panics if the circuit is cyclic.
-    pub fn rebuild(circuit: &Circuit) -> Self {
+    #[cfg(test)]
+    pub(crate) fn rebuild(circuit: &Circuit) -> Self {
         let n = circuit.len();
         assert!(n < NONE as usize, "circuit too large for u32 node ids");
 
@@ -321,7 +321,7 @@ impl SoaCircuit {
         Self::finish(circuit, kinds, fanin_off, fanins, order, topo_pos)
     }
 
-    /// Shared tail of [`new`](Self::new) and [`rebuild`](Self::rebuild):
+    /// Shared tail of [`new`](Self::new) and the test-only `rebuild`:
     /// levels, fanout CSR, FFR structure and dominators from the fanin CSR
     /// plus a valid topological order. Every derived quantity here is
     /// independent of *which* valid topological order was supplied.

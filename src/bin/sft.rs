@@ -36,21 +36,22 @@
 //! the stop reason, writes the best verified partial result, and exits 0.
 //!
 //! Parallelism (resynth, testgen, pdf): `--jobs N` runs the hot loops on
-//! `N` worker threads (`0` or `all` = every core; default: all cores).
-//! Results are bit-identical at any value; `--jobs 1` additionally
-//! restores the exact single-threaded execution order.
+//! `N` worker threads (`0` or `all` = every core; default 1, the exact
+//! single-threaded order, which beat 2 threads on a 2-core machine).
+//! Results are bit-identical at any value.
 //!
 //! Fault simulation (testgen) resolves detections by critical-path tracing
 //! inside fanout-free regions with dominator-gated stem observability.
 //!
 //! `sft serve <root>` watches `<root>/jobs/incoming/` for `.bench`+`.job`
 //! pairs and writes results to `<root>/jobs/done|failed/`. Options:
-//! `--jobs N` concurrent jobs, `--queue N` waiting slots before shedding,
-//! `--once` (drain and exit), `--cache <path>|off` (identification-cache
-//! image; default `<root>/jobs/cache/identify.sigcache`), `--time-limit` /
-//! `--step-limit` default per-job budgets, `--max-attempts N` and
-//! `--stats-every <dur>`. Stop with SIGINT/SIGTERM (once = drain, twice =
-//! cancel in-flight) or by creating `<root>/jobs/control/stop`.
+//! `--jobs N` concurrent jobs (default: all cores), `--queue N` waiting
+//! slots before shedding, `--once` (drain and exit), `--cache <path>|off`
+//! (identification-cache image; default
+//! `<root>/jobs/cache/identify.sigcache`), `--time-limit` / `--step-limit`
+//! default per-job budgets, `--max-attempts N` and `--stats-every <dur>`.
+//! Stop with SIGINT/SIGTERM (once = drain, twice = cancel in-flight) or by
+//! creating `<root>/jobs/control/stop`.
 
 use sft::atpg::{generate_test_set_with_budget, remove_redundancies, TestSetOptions};
 use sft::budget::{Budget, StopReason};
@@ -133,12 +134,12 @@ const VALUE_OPTIONS: &[&str] = &[
     "--lut-k",
 ];
 
-/// Parses `--jobs` (default: all cores; `--jobs 1` = exact serial order).
-fn jobs_from(args: &[String]) -> Result<Jobs, String> {
+/// Parses `--jobs`, or returns `default` without it (`1` = exact serial order).
+fn jobs_from(args: &[String], default: Jobs) -> Result<Jobs, String> {
     match (flag(args, "--jobs"), opt(args, "--jobs")) {
         (true, None) => Err("--jobs needs a value (a number, 0 or \"all\")".into()),
         (_, Some(v)) => v.parse().map_err(|e| format!("--jobs: {e}")),
-        _ => Ok(Jobs::all_cores()),
+        _ => Ok(default),
     }
 }
 
@@ -253,7 +254,7 @@ fn run() -> Result<(), String> {
                 allow_input_negation: flag(rest, "--negation"),
                 max_cover_units: opt(rest, "--covers").and_then(|v| v.parse().ok()).unwrap_or(1),
                 use_satisfiability_dont_cares: flag(rest, "--dont-cares"),
-                jobs: jobs_from(rest)?,
+                jobs: jobs_from(rest, Jobs::serial())?,
                 ..ResynthOptions::default()
             };
             let budget = budget_from(rest)?;
@@ -287,7 +288,8 @@ fn run() -> Result<(), String> {
             let files = positionals(rest);
             let c = load(files.first().ok_or("testgen needs an input file")?, rest)?;
             let budget = budget_from(rest)?;
-            let opts = TestSetOptions { jobs: jobs_from(rest)?, ..TestSetOptions::default() };
+            let jobs = jobs_from(rest, Jobs::serial())?;
+            let opts = TestSetOptions { jobs, ..TestSetOptions::default() };
             let set = generate_test_set_with_budget(&c, &opts, &budget);
             println!(
                 "# {} faults, {} redundant, {} aborted, {} untargeted, coverage {:.2}%",
@@ -332,7 +334,7 @@ fn run() -> Result<(), String> {
             let c = load(files.first().ok_or("pdf needs an input file")?, rest)?;
             let cfg = PdfCampaignConfig {
                 max_pairs: opt(rest, "--pairs").and_then(|v| v.parse().ok()).unwrap_or(1 << 14),
-                jobs: jobs_from(rest)?,
+                jobs: jobs_from(rest, Jobs::serial())?,
                 ..PdfCampaignConfig::default()
             };
             let budget = budget_from(rest)?;
@@ -421,7 +423,7 @@ fn run() -> Result<(), String> {
             let files = positionals(rest);
             let root = files.first().ok_or("serve needs a root directory")?;
             let mut config = sft::serve::ServeConfig::new(root.as_str());
-            config.jobs = jobs_from(rest)?;
+            config.jobs = jobs_from(rest, config.jobs)?;
             config.once = flag(rest, "--once");
             if let Some(queue) = opt(rest, "--queue") {
                 config.queue = queue.parse().map_err(|_| format!("bad queue size {queue:?}"))?;

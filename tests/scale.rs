@@ -2,8 +2,8 @@
 //! deterministic, valid, `.bench`-canonical, and the wide-word campaign
 //! must be bit-identical to 64-pattern sweeps and across thread counts on a
 //! circuit large enough that fault-dropping, FFR stem grouping and the
-//! parallel merge all engage (the CI-sized version of the `BENCH_scale`
-//! acceptance run).
+//! parallel merge all engage. The exact campaign decisions on the
+//! 6K–12K-gate scale circuits are pinned in `tests/decisions.rs`.
 
 use proptest::prelude::*;
 use sft::circuits::gen::{alu, deep_dag, stitched, wide_adder, wide_multiplier};
