@@ -7,14 +7,31 @@
 //!   deterministic prefix) and check whether the 1-minterms become
 //!   consecutive; the paper's experiments cap this at 200 permutations and
 //!   also check the **complement** of the function.
-//! - [`IdentifyMethod::Exact`] — a complete recursive decision procedure
-//!   based on the interval structure: an on-set is an interval iff some
-//!   variable either (a) is constant on it (a *free variable*) with the
-//!   rest an interval, or (b) splits it into a suffix-interval (`>=L'`)
-//!   low half and a prefix-interval (`<=U'`) high half under a shared
-//!   permutation of the remaining variables. This removes the `n!` factor
-//!   the paper mentions (their sketched alternative is a Hamiltonian-path
-//!   formulation) while remaining exact for all `n <= 7`.
+//! - [`IdentifyMethod::Exact`] — a complete decision that returns the
+//!   interval under the lexicographically first permutation that has one,
+//!   trying the function before its complement.
+//!   - For `n <= 5` the answer is a lookup. On first use for a given `n`,
+//!     a table of every interval function over `n` inputs is built by
+//!     walking the permutations in lexicographic order and every `[L, U]`
+//!     under each; the first writer of a truth table keeps its
+//!     certificate. A complemented certificate is the direct entry of the
+//!     complement. The n = 5 table holds 20,646 interval functions (39,958
+//!     comparison functions with their complements) and takes about a
+//!     millisecond to build.
+//!   - For `n = 6` and `7` a recursive search decides it: an on-set is an
+//!     interval iff some variable either (a) is constant on it (a *free
+//!     variable*) with the rest an interval, or (b) splits it into a
+//!     suffix-interval (`>=L'`) low half and a prefix-interval (`<=U'`)
+//!     high half under a shared permutation of the remaining variables.
+//!     This removes the `n!` factor the paper mentions (their sketched
+//!     alternative is a Hamiltonian-path formulation). Its answers are kept
+//!     in one process-wide map keyed by the truth table, so a cone function
+//!     that recurs is searched once; [`identify_cache_stats`] counts that
+//!     map's hits and misses.
+//!
+//!   Both give the same certificate for the same table; a test compares
+//!   them on every 4-input function and on every 5-input comparison
+//!   function.
 //!
 //! Satisfiability don't-cares are supported by the permutation method: the
 //! interval must contain all 1-minterms and no 0-minterm, while don't-cares
@@ -22,13 +39,18 @@
 
 use crate::ComparisonSpec;
 use sft_truth::TruthTable;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::path::Path;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Which identification procedure to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IdentifyMethod {
     /// The paper's capped permutation search.
     Permutations,
-    /// The exact recursive interval decomposition (default).
+    /// The exact decision: a table lookup for `n <= 5`, a recursive interval
+    /// decomposition above (default).
     #[default]
     Exact,
 }
@@ -99,24 +121,204 @@ pub fn identify(f: &TruthTable, options: &IdentifyOptions) -> Option<ComparisonS
         let upper = if n == 0 { 0 } else { (1u64 << n) - 1 };
         return ComparisonSpec::new_complemented((0..n).collect(), 0, upper).ok();
     }
-    let direct = match options.method {
-        IdentifyMethod::Permutations => identify_permutations(f, options.max_permutations),
-        IdentifyMethod::Exact => identify_exact(f),
-    };
-    if direct.is_some() {
-        return direct;
+    match options.method {
+        IdentifyMethod::Permutations => search(f, options.try_complement, |g| {
+            identify_permutations(g, options.max_permutations)
+        }),
+        IdentifyMethod::Exact if n <= TABLE_MAX_INPUTS => lookup(f, options.try_complement),
+        IdentifyMethod::Exact => memoized_search(f, options.try_complement),
     }
-    if options.try_complement {
-        let g = f.complement();
-        let comp = match options.method {
-            IdentifyMethod::Permutations => identify_permutations(&g, options.max_permutations),
-            IdentifyMethod::Exact => identify_exact(&g),
-        };
-        if let Some(spec) = comp {
-            return ComparisonSpec::new_complemented(spec.perm, spec.lower, spec.upper).ok();
+}
+
+/// Runs `method` on `f`, then (when allowed) on its complement.
+fn search(
+    f: &TruthTable,
+    try_complement: bool,
+    method: impl Fn(&TruthTable) -> Option<ComparisonSpec>,
+) -> Option<ComparisonSpec> {
+    if let Some(spec) = method(f) {
+        return Some(spec);
+    }
+    if !try_complement {
+        return None;
+    }
+    let spec = method(&f.complement())?;
+    ComparisonSpec::new_complemented(spec.perm, spec.lower, spec.upper).ok()
+}
+
+/// Input counts up to this one are answered from [`interval_table`].
+const TABLE_MAX_INPUTS: usize = 5;
+
+/// Distinct interval functions over `n` inputs for `n = 0..=5`, so each
+/// table is allocated once at its final size.
+const TABLE_SIZES: [usize; TABLE_MAX_INPUTS + 1] = [1, 3, 12, 90, 1_180, 20_646];
+
+/// A multiply-fold hasher for the tables' `u32` keys: one 64×64→128-bit
+/// multiply, folded, so both the low bits (the bucket) and the high bits
+/// (the tag) depend on every key bit.
+#[derive(Default)]
+struct FoldHasher(u64);
+
+impl Hasher for FoldHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
         }
     }
-    None
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let product = u128::from(self.0 ^ n) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (product as u64) ^ (product >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Truth-table bits (bit `m` = minterm `m`) to a packed certificate: bits
+/// `3i..3i+3` hold `perm[i]`, then 5 bits each of `L` and `U`.
+type IntervalTable = HashMap<u32, u32, BuildHasherDefault<FoldHasher>>;
+
+const LOWER_SHIFT: u32 = 15;
+const UPPER_SHIFT: u32 = 20;
+
+/// The interval functions over `n <= 5` inputs, built on first use.
+fn interval_table(n: usize) -> &'static IntervalTable {
+    static TABLES: [OnceLock<IntervalTable>; TABLE_MAX_INPUTS + 1] = [
+        OnceLock::new(),
+        OnceLock::new(),
+        OnceLock::new(),
+        OnceLock::new(),
+        OnceLock::new(),
+        OnceLock::new(),
+    ];
+    TABLES[n].get_or_init(|| build_interval_table(n))
+}
+
+/// Walks the permutations of `0..n` in lexicographic order and every
+/// interval `[L, U]` under each; the first (permutation, interval) to
+/// produce a truth table is the certificate stored for it, which is the
+/// one the recursive search returns.
+fn build_interval_table(n: usize) -> IntervalTable {
+    let size = 1usize << n;
+    let mut table = IntervalTable::with_capacity_and_hasher(TABLE_SIZES[n], Default::default());
+    let mut perm: Vec<usize> = (0..n).collect();
+    loop {
+        // The original minterm whose permuted value is `v`: bit `i`
+        // (MSB-first) of `v` is original input `perm[i]`.
+        let minterm_of: Vec<u32> = (0..size as u32)
+            .map(|v| {
+                perm.iter().enumerate().map(|(i, &p)| (v >> (n - 1 - i) & 1) << (n - 1 - p)).sum()
+            })
+            .collect();
+        let packed_perm: u32 =
+            perm.iter().enumerate().map(|(i, &p)| (p as u32) << (3 * i as u32)).sum();
+        for lower in 0..size {
+            let mut bits = 0u32;
+            for (upper, &m) in minterm_of.iter().enumerate().skip(lower) {
+                bits |= 1 << m;
+                table.entry(bits).or_insert(
+                    packed_perm | (lower as u32) << LOWER_SHIFT | (upper as u32) << UPPER_SHIFT,
+                );
+            }
+        }
+        if !next_permutation(&mut perm) {
+            return table;
+        }
+    }
+}
+
+/// Exact identification of a non-constant `f` with `n <= 5` inputs.
+fn lookup(f: &TruthTable, try_complement: bool) -> Option<ComparisonSpec> {
+    let n = f.inputs();
+    let table = interval_table(n);
+    let bits = f.bits() as u32;
+    let (packed, complemented) = match table.get(&bits) {
+        Some(&packed) => (packed, false),
+        None if try_complement => (*table.get(&(f.complement().bits() as u32))?, true),
+        None => return None,
+    };
+    Some(ComparisonSpec {
+        perm: (0..n).map(|i| (packed >> (3 * i) & 7) as usize).collect(),
+        lower: u64::from(packed >> LOWER_SHIFT & 31),
+        upper: u64::from(packed >> UPPER_SHIFT & 31),
+        complemented,
+    })
+}
+
+/// Counters of the process-wide map behind exact identification of 6- and
+/// 7-input functions (see the module docs).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Queries answered from the map.
+    pub hits: u64,
+    /// Queries that ran the recursive search.
+    pub misses: u64,
+    /// Entries currently stored.
+    pub entries: usize,
+}
+
+/// Recursive-search answers for `n = 6, 7`, keyed by
+/// `(bits, n, try_complement)`.
+#[derive(Default)]
+struct SearchMemo {
+    answers: HashMap<(u128, u8, bool), Option<ComparisonSpec>>,
+    hits: u64,
+    misses: u64,
+}
+
+fn search_memo() -> std::sync::MutexGuard<'static, SearchMemo> {
+    static MEMO: OnceLock<Mutex<SearchMemo>> = OnceLock::new();
+    // The map holds plain data and no search runs under the lock, so a
+    // poisoned lock still guards a consistent map.
+    MEMO.get_or_init(Mutex::default).lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Exact identification of a non-constant `f` with 6 or 7 inputs, through
+/// the process-wide map.
+fn memoized_search(f: &TruthTable, try_complement: bool) -> Option<ComparisonSpec> {
+    let key = (f.bits(), f.inputs() as u8, try_complement);
+    {
+        let mut memo = search_memo();
+        if let Some(answer) = memo.answers.get(&key).cloned() {
+            memo.hits += 1;
+            return answer;
+        }
+        memo.misses += 1;
+    }
+    let answer = search(f, try_complement, identify_exact);
+    search_memo().answers.insert(key, answer.clone());
+    answer
+}
+
+/// Hit and miss counters and the size of the process-wide map behind
+/// exact identification of 6- and 7-input functions. Queries with five or
+/// fewer inputs are table lookups and are not counted.
+pub fn identify_cache_stats() -> CacheStats {
+    let memo = search_memo();
+    CacheStats { hits: memo.hits, misses: memo.misses, entries: memo.answers.len() }
+}
+
+/// Empties the process-wide map of 6- and 7-input answers and zeroes its
+/// counters, so a timed run does not start warm.
+pub fn identify_cache_clear() {
+    *search_memo() = SearchMemo::default();
+}
+
+/// Writes an empty file at `path`: identification keeps no state worth
+/// persisting. Kept only because `perfbench/` calls it and copies the file
+/// it names.
+///
+/// # Errors
+///
+/// Any error creating the file.
+pub fn identify_cache_save(path: &Path) -> std::io::Result<()> {
+    std::fs::write(path, [])
 }
 
 /// Identification extended with **input polarities**: searches for a
@@ -207,7 +409,9 @@ fn permutations(n: usize, cap: usize) -> Vec<Vec<usize>> {
     }
 }
 
-fn next_permutation(p: &mut [usize]) -> bool {
+/// Steps `p` to the next permutation in lexicographic order; `false` after
+/// the last one.
+pub(crate) fn next_permutation(p: &mut [usize]) -> bool {
     if p.len() < 2 {
         return false;
     }
@@ -389,6 +593,126 @@ fn find_straddle(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+
+    fn exact(try_complement: bool) -> IdentifyOptions {
+        IdentifyOptions { try_complement, ..IdentifyOptions::default() }
+    }
+
+    /// The recursive search with its complement fallback, bypassing the
+    /// table and the map: the oracle both must reproduce exactly.
+    fn recursive(f: &TruthTable, try_complement: bool) -> Option<ComparisonSpec> {
+        if f.is_one() || f.is_zero() {
+            return identify(f, &exact(try_complement));
+        }
+        search(f, try_complement, identify_exact)
+    }
+
+    fn assert_matches_recursive(f: &TruthTable) {
+        for try_complement in [true, false] {
+            assert_eq!(
+                identify(f, &exact(try_complement)),
+                recursive(f, try_complement),
+                "n={} bits={:#x} try_complement={try_complement}",
+                f.inputs(),
+                f.bits()
+            );
+        }
+    }
+
+    /// xorshift64: a fixed stream of random truth tables.
+    fn next_random(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// The tables hold the interval functions; with their complements
+    /// they are the 42,296 comparison functions of 1 to 5 inputs.
+    #[test]
+    fn table_sizes_are_the_interval_function_counts() {
+        let mut comparison = 0;
+        for (n, &size) in TABLE_SIZES.iter().enumerate() {
+            let table = interval_table(n);
+            assert_eq!(table.len(), size, "n={n}");
+            let mask = u32::MAX >> (32 - (1 << n));
+            let mut with_complements: HashSet<u32> = table.keys().copied().collect();
+            with_complements.extend(table.keys().map(|bits| !bits & mask));
+            comparison += if n > 0 { with_complements.len() } else { 0 };
+        }
+        assert_eq!(comparison, 42_296);
+    }
+
+    #[test]
+    fn table_matches_recursive_search_on_every_function_up_to_4_inputs() {
+        for n in 1..=4usize {
+            for bits in 0..1u128 << (1 << n) {
+                assert_matches_recursive(&TruthTable::from_bits(n, bits));
+            }
+        }
+    }
+
+    /// Every 5-input comparison function is a table key or the complement
+    /// of one, and gets the recursive search's certificate.
+    #[test]
+    fn table_matches_recursive_search_on_every_5_input_comparison_function() {
+        for &bits in interval_table(5).keys() {
+            for g in [bits, !bits] {
+                assert_matches_recursive(&TruthTable::from_bits(5, u128::from(g)));
+            }
+        }
+    }
+
+    #[test]
+    fn table_matches_recursive_search_on_random_5_input_functions() {
+        let mut state = 0x2545_f491_4f6c_dd1d;
+        for _ in 0..100_000 {
+            let bits = next_random(&mut state) as u32;
+            assert_matches_recursive(&TruthTable::from_bits(5, u128::from(bits)));
+        }
+    }
+
+    /// The 6- and 7-input map returns exactly what the recursive search
+    /// returns, certificate and all, on a first query and on a repeat.
+    /// Other tests share the process-wide map, so this one never clears it
+    /// and only asserts that the repeats were counted as hits.
+    #[test]
+    fn memo_is_bit_identical_to_direct() {
+        let mut state = 0x9e37_79b9_7f4a_7c15;
+        let before = identify_cache_stats();
+        let mut repeats = 0;
+        for i in 0..200 {
+            let n = 6 + i % 2;
+            let r = next_random(&mut state);
+            // Half random tables (almost never comparison functions), half
+            // random intervals under a rotated input order.
+            let f = if i % 4 < 2 {
+                TruthTable::from_bits(n, u128::from(r) << 64 | u128::from(r.rotate_left(17)))
+            } else {
+                let max = (1u64 << n) - 1;
+                let (a, b) = (r & max, r >> 8 & max);
+                let perm = (0..n).map(|j| (j + i) % n).collect();
+                ComparisonSpec::new(perm, a.min(b), a.max(b)).unwrap().to_table()
+            };
+            for try_complement in [true, false] {
+                let direct = recursive(&f, try_complement);
+                assert_eq!(identify(&f, &exact(try_complement)), direct, "cold: {f:?}");
+                assert_eq!(identify(&f, &exact(try_complement)), direct, "warm: {f:?}");
+                repeats += u64::from(!f.is_one() && !f.is_zero());
+            }
+        }
+        let after = identify_cache_stats();
+        assert!(after.hits >= before.hits + repeats, "{before:?} -> {after:?}");
+    }
+
+    #[test]
+    fn cache_save_writes_an_empty_file() {
+        let path = std::env::temp_dir().join(format!("sft-identify-{}.img", std::process::id()));
+        identify_cache_save(&path).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), Vec::<u8>::new());
+        std::fs::remove_file(&path).unwrap();
+    }
 
     fn check_spec(f: &TruthTable, spec: &ComparisonSpec) {
         assert_eq!(&spec.to_table(), f, "certificate must reproduce the function");

@@ -47,24 +47,19 @@
 
 pub mod cover;
 mod identify;
-pub mod memo;
 pub mod resynth;
 mod spec;
 pub mod testability;
 pub mod unit;
 
 pub use identify::{
-    identify, identify_with_dc, identify_with_polarities, IdentifyMethod, IdentifyOptions,
-};
-pub use memo::{
-    identify_cache_clear, identify_cache_load, identify_cache_poison_recoveries,
-    identify_cache_save, identify_cache_stats, identify_memo,
+    identify, identify_cache_clear, identify_cache_save, identify_cache_stats, identify_with_dc,
+    identify_with_polarities, CacheStats, IdentifyMethod, IdentifyOptions,
 };
 pub use resynth::{
     procedure2, procedure3, resynthesize, resynthesize_with_budget, Objective, ResynthError,
     ResynthOptions, ResynthReport,
 };
 pub use sft_budget::{Budget, CancelFlag, Exhausted, StopReason};
-pub use sft_canon::CacheStats;
 pub use spec::{ComparisonSpec, SpecError};
 pub use unit::{build_standalone_unit, build_unit_in, UnitCost};

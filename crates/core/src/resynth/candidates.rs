@@ -159,21 +159,12 @@ pub(super) fn score_candidate(
 ) -> Result<Option<Candidate>, Exhausted> {
     budget.consume(1)?;
     let Ok(truth) = circuit.cone_function(ctx.g, inputs) else { return Ok(None) };
-    // Don't-care-widened identification depends on the cut, not just the
-    // function, so only the plain queries go through the P-class memo.
-    let plain = |truth: &sft_truth::TruthTable| {
-        if options.memoize_identification {
-            crate::memo::identify_memo(truth, &options.identify)
-        } else {
-            identify(truth, &options.identify)
-        }
-    };
     let spec = match dc {
         Some((manager, per_node)) => match reachable_dc(manager, per_node, circuit, inputs) {
             Ok(Some(dc)) => identify_with_dc(&truth, &dc, &options.identify),
-            _ => plain(&truth),
+            _ => identify(&truth, &options.identify),
         },
-        None => plain(&truth),
+        None => identify(&truth, &options.identify),
     };
     let (replacement, cost) = match spec {
         Some(spec) => {

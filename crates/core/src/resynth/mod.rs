@@ -116,17 +116,6 @@ pub struct ResynthOptions {
     /// `use_satisfiability_dont_cares` is on, since SDC extraction shares
     /// one mutable BDD manager.
     pub jobs: Jobs,
-    /// Memoize exact comparison-function identification in the
-    /// process-wide tables of [`crate::memo`]: negative verdicts shared
-    /// per P-class, positive certificates replayed per exact truth table.
-    /// Identification answers — certificates included — and the resulting
-    /// netlist are bit-identical to an unmemoized run; repeated cone
-    /// functions (within a circuit, across passes, and across circuits)
-    /// skip the exponential decision procedure. Only
-    /// [`IdentifyMethod::Exact`](crate::IdentifyMethod::Exact) queries are
-    /// cached — see the module docs.
-    /// On by default.
-    pub memoize_identification: bool,
     /// Skip re-scoring gates whose rejection provably replays: a gate
     /// rejected in a pass is not re-scored in the next pass unless the
     /// modified region (the replacements, their fanin frontier, and
@@ -159,7 +148,6 @@ impl Default for ResynthOptions {
             max_cover_units: 1,
             allow_input_negation: false,
             jobs: Jobs::serial(),
-            memoize_identification: true,
             incremental_rescoring: true,
             compact_verifier: true,
         }
@@ -665,18 +653,13 @@ p1 = AND(x, c)\np2 = AND(c, x)\ny = OR(p1, p2)\n";
         );
     }
 
-    /// The tentpole invariant: P-class memoization and rejection replay are
-    /// pure accelerations. On the bundled suite and on a multi-pass fixture
-    /// that exercises the skip path, the final netlist and the report are
-    /// bit-identical to a cold, fully re-scored run.
+    /// Rejection replay is a pure acceleration. On the bundled suite and on
+    /// a multi-pass fixture that exercises the skip path, the final netlist
+    /// and the report are bit-identical to a fully re-scored run.
     #[test]
-    fn memo_and_incremental_rescoring_match_full_rewalk() {
+    fn incremental_rescoring_matches_full_rewalk() {
         let fast = ResynthOptions { max_candidates_per_gate: 60, ..ResynthOptions::default() };
-        let slow = ResynthOptions {
-            memoize_identification: false,
-            incremental_rescoring: false,
-            ..fast.clone()
-        };
+        let slow = ResynthOptions { incremental_rescoring: false, ..fast.clone() };
         let multi_pass =
             sft_circuits::random::random_circuit(&sft_circuits::random::RandomCircuitConfig {
                 inputs: 12,

@@ -229,17 +229,71 @@ pub fn build_standalone_unit(spec: &ComparisonSpec) -> Result<Circuit, Box<dyn s
     Ok(c)
 }
 
-/// Computes the cost of the unit for `spec` (by building it in a scratch
-/// circuit and measuring).
+/// Computes the cost of the unit for `spec` in closed form, counting what
+/// [`build_standalone_unit`] would build without building it:
+///
+/// - each of the `F` free literals is one path, through an inverter when
+///   its bound bit is 0;
+/// - a non-trivial `>=L_F` chain runs from position `F` to the lowest set
+///   bit of `L_F`: one path per input on it, one equivalent 2-input gate
+///   per link, and one level per run of same-kind links (the Figure 4
+///   merge);
+/// - the `<=U_F` chain is the dual over the lowest clear bit of `U_F`, one
+///   level deeper for its input inverters;
+/// - two or more terms meet in the top AND (NAND when complemented); a
+///   single complemented term gets an output inverter.
 ///
 /// # Errors
 ///
 /// Returns an error if the spec is malformed.
 pub fn unit_cost(spec: &ComparisonSpec) -> Result<UnitCost, Box<dyn std::error::Error>> {
-    let c = build_standalone_unit(spec)?;
+    spec.validate()?;
+    let n = spec.inputs();
+    let free = spec.free_count();
+    let mut paths = vec![0u64; n]; // by position i, the paper's x_{i+1}
+    let mut two_input_gates = 0;
+    let mut terms = 0;
+    let mut depth = 0;
+    for (i, p) in paths.iter_mut().enumerate().take(free) {
+        *p = 1;
+        terms += 1;
+        depth = depth.max(u32::from(!spec.lower_bit(i)));
+    }
+    // A block's chain starts at its last AND position and links up to
+    // position F; `and_link(i)` tells whether position i links with an AND
+    // (else an OR). Trivial blocks have no AND position and are omitted.
+    let mut chain = |and_link: &dyn Fn(usize) -> bool, literal_depth: u32| {
+        let Some(last) = (free..n).rev().find(|&i| and_link(i)) else { return };
+        for p in &mut paths[free..=last] {
+            *p += 1;
+        }
+        two_input_gates += (last - free) as u64;
+        let runs = (free..last).filter(|&i| i + 1 == last || and_link(i) != and_link(i + 1));
+        depth = depth.max(literal_depth + runs.count() as u32);
+        terms += 1;
+    };
+    chain(&|i| spec.lower_bit(i), 0); // >=L_F
+    chain(&|i| !spec.upper_bit(i), 1); // <=U_F, over inverted inputs
+    if terms >= 2 {
+        two_input_gates += terms - 1;
+        depth += 1;
+    } else if terms == 1 && spec.complemented {
+        depth += 1;
+    }
+    let mut input_paths = vec![0; n];
+    for (i, &p) in spec.perm.iter().enumerate() {
+        input_paths[p] = paths[i];
+    }
+    Ok(UnitCost { two_input_gates, input_paths, depth })
+}
+
+/// The cost measured on a built unit: the oracle for [`unit_cost`].
+#[cfg(test)]
+fn built_unit_cost(spec: &ComparisonSpec) -> UnitCost {
+    let c = build_standalone_unit(spec).expect("valid spec");
     let out = c.outputs()[0];
     let input_paths = c.inputs().iter().map(|&i| c.path_count_between(i, out) as u64).collect();
-    Ok(UnitCost { two_input_gates: c.two_input_gate_count(), input_paths, depth: c.depth() })
+    UnitCost { two_input_gates: c.two_input_gate_count(), input_paths, depth: c.depth() }
 }
 
 #[cfg(test)]
@@ -394,6 +448,36 @@ mod tests {
                         "more than two paths for L={l} U={u}"
                     );
                     assert!(cost.depth as usize <= n + 1, "depth too large for L={l} U={u}");
+                }
+            }
+        }
+    }
+
+    fn assert_cost_matches_built_unit(spec: &ComparisonSpec) {
+        assert_eq!(unit_cost(spec).unwrap(), built_unit_cost(spec), "{spec}");
+    }
+
+    /// The closed form equals the built unit's measured cost on every
+    /// interval (plain and complemented) up to 7 inputs, and under every
+    /// input permutation up to 4 inputs.
+    #[test]
+    fn closed_form_cost_matches_built_unit() {
+        for n in 0..=7usize {
+            let max = if n == 0 { 0 } else { (1u64 << n) - 1 };
+            let mut perm: Vec<usize> = (0..n).collect();
+            loop {
+                for l in 0..=max {
+                    for u in l..=max {
+                        assert_cost_matches_built_unit(
+                            &ComparisonSpec::new(perm.clone(), l, u).unwrap(),
+                        );
+                        assert_cost_matches_built_unit(
+                            &ComparisonSpec::new_complemented(perm.clone(), l, u).unwrap(),
+                        );
+                    }
+                }
+                if n > 4 || !crate::identify::next_permutation(&mut perm) {
+                    break;
                 }
             }
         }

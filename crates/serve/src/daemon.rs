@@ -27,32 +27,26 @@
 //! # Isolation and degradation
 //!
 //! Each job runs under `catch_unwind`: a panicking engine produces a
-//! `panicked` report for *that job* and the daemon keeps serving (the
-//! process-wide identification cache recovers poisoned shards by rebuilding
-//! them — see `SigCache`). Admission control bounds concurrent work to the
-//! `--jobs` knob with a bounded wait queue on top; jobs beyond both are
-//! shed with an explicit `overloaded` outcome rather than queued without
-//! bound. Transient failures (unreadable files mid-drop) are retried with
-//! linear backoff up to a per-job attempt cap, then reported terminally.
+//! `panicked` report for *that job* and the daemon keeps serving. Admission
+//! control bounds concurrent work to the `--jobs` knob with a bounded wait
+//! queue on top; jobs beyond both are shed with an explicit `overloaded`
+//! outcome rather than queued without bound. Transient failures (unreadable
+//! files mid-drop) are retried with linear backoff up to a per-job attempt
+//! cap, then reported terminally.
 //!
 //! # Shutdown
 //!
 //! The first SIGINT/SIGTERM (or the appearance of `<root>/jobs/control/stop`)
 //! stops claiming and drains in-flight jobs; a second signal additionally
 //! cancels in-flight engines through their budgets (they roll back to their
-//! last verified pass and report `cancelled`). The warm cache is flushed on
-//! the way out. SIGKILL needs no cooperation: the rename protocol plus
-//! atomic first-write-wins reports make restart recovery exact.
+//! last verified pass and report `cancelled`). SIGKILL needs no
+//! cooperation: the rename protocol plus atomic first-write-wins reports
+//! make restart recovery exact.
 
 use crate::outcome::{write_new, EngineOutcome, JobReport, Outcome};
 use crate::spec::{parse_spec, Chaos};
 use sft_budget::{Budget, CancelFlag};
-use sft_canon::persist::{self, PersistError};
-use sft_canon::CacheStats;
-use sft_core::{
-    identify_cache_load, identify_cache_poison_recoveries, identify_cache_save,
-    identify_cache_stats, resynthesize_with_budget, ResynthReport,
-};
+use sft_core::{resynthesize_with_budget, ResynthReport};
 use sft_io::{Format, WriteOptions};
 use sft_netlist::Circuit;
 use sft_par::{Admission, Jobs};
@@ -67,7 +61,7 @@ use std::time::{Duration, Instant};
 
 /// Daemon configuration. Start from [`ServeConfig::new`] and override
 /// fields; the defaults are production-shaped (all cores, bounded queue,
-/// persistent cache next to the job dirs, signals handled).
+/// signals handled).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Root directory; the daemon owns `<root>/jobs/*`.
@@ -80,7 +74,8 @@ pub struct ServeConfig {
     /// Process everything present, drain, and exit (for tests, benches and
     /// batch use) instead of serving until a signal.
     pub once: bool,
-    /// Identification-cache image path; `None` disables persistence.
+    /// Ignored: the daemon keeps no cache image. Kept only because
+    /// `perfbench/` still sets it.
     pub cache: Option<PathBuf>,
     /// Wall-clock budget applied to jobs whose spec names none.
     pub default_time_limit: Option<Duration>,
@@ -92,7 +87,7 @@ pub struct ServeConfig {
     pub retry_backoff: Duration,
     /// Scan interval of the main loop.
     pub poll: Duration,
-    /// Period of the stats line and cache flush.
+    /// Period of the stats line.
     pub stats_every: Duration,
     /// Install SIGINT/SIGTERM handlers (disable when embedding the daemon
     /// in a process that owns its own signal disposition).
@@ -102,14 +97,12 @@ pub struct ServeConfig {
 impl ServeConfig {
     /// Production-shaped defaults rooted at `root`.
     pub fn new(root: impl Into<PathBuf>) -> Self {
-        let root = root.into();
-        let cache = Some(root.join("jobs").join("cache").join("identify.sigcache"));
         ServeConfig {
-            root,
+            root: root.into(),
             jobs: Jobs::all_cores(),
             queue: 16,
             once: false,
-            cache,
+            cache: None,
             default_time_limit: None,
             default_step_limit: None,
             max_attempts: 3,
@@ -136,16 +129,9 @@ pub struct ServeSummary {
     pub retried: u64,
     /// Jobs whose worker panicked (also counted in `failed`).
     pub panicked: u64,
-    /// Cache images loaded at startup (0 or 1).
-    pub cache_loads: u64,
-    /// Entries the loaded image contributed.
+    /// Always 0: no cache image is loaded. Kept only because `perfbench/`
+    /// still reads it.
     pub cache_loaded_entries: u64,
-    /// Corrupt cache images quarantined at startup (0 or 1).
-    pub cache_quarantines: u64,
-    /// Process-wide identification-cache counters at exit.
-    pub cache: CacheStats,
-    /// Cache shards rebuilt after lock poisoning.
-    pub shard_recoveries: u64,
     /// Job attempts whose payload parse was served from the parsed-netlist
     /// cache (retries and repeat submissions of unchanged payloads).
     pub parse_cache_hits: u64,
@@ -159,9 +145,6 @@ struct Counters {
     shed: AtomicU64,
     retried: AtomicU64,
     panicked: AtomicU64,
-    cache_loads: AtomicU64,
-    cache_loaded_entries: AtomicU64,
-    cache_quarantines: AtomicU64,
     parse_hits: AtomicU64,
 }
 
@@ -174,11 +157,7 @@ impl Counters {
             shed: self.shed.load(Ordering::Relaxed),
             retried: self.retried.load(Ordering::Relaxed),
             panicked: self.panicked.load(Ordering::Relaxed),
-            cache_loads: self.cache_loads.load(Ordering::Relaxed),
-            cache_loaded_entries: self.cache_loaded_entries.load(Ordering::Relaxed),
-            cache_quarantines: self.cache_quarantines.load(Ordering::Relaxed),
-            cache: identify_cache_stats(),
-            shard_recoveries: identify_cache_poison_recoveries(),
+            cache_loaded_entries: 0,
             parse_cache_hits: self.parse_hits.load(Ordering::Relaxed),
         }
     }
@@ -186,23 +165,8 @@ impl Counters {
     fn stats_line(&self) -> String {
         let s = self.summary();
         format!(
-            "serve: accepted={} done={} failed={} shed={} retried={} panicked={} | \
-             cache: entries={} hits={} misses={} hit_rate={:.1}% loads={} quarantines={} \
-             shard_recoveries={} parse_hits={}",
-            s.accepted,
-            s.done,
-            s.failed,
-            s.shed,
-            s.retried,
-            s.panicked,
-            s.cache.entries,
-            s.cache.hits,
-            s.cache.misses,
-            s.cache.hit_rate() * 100.0,
-            s.cache_loads,
-            s.cache_quarantines,
-            s.shard_recoveries,
-            s.parse_cache_hits,
+            "serve: accepted={} done={} failed={} shed={} retried={} panicked={} parse_hits={}",
+            s.accepted, s.done, s.failed, s.shed, s.retried, s.panicked, s.parse_cache_hits,
         )
     }
 }
@@ -454,41 +418,6 @@ fn adopt_orphans(dirs: &Dirs) -> io::Result<usize> {
     Ok(adopted)
 }
 
-fn load_cache(path: &Path, counters: &Counters) {
-    match identify_cache_load(path) {
-        Ok(entries) => {
-            counters.cache_loads.fetch_add(1, Ordering::Relaxed);
-            counters.cache_loaded_entries.fetch_add(entries as u64, Ordering::Relaxed);
-            println!("serve: warm cache loaded ({entries} entries)");
-        }
-        Err(PersistError::NotFound) => {
-            println!("serve: no cache image, starting cold");
-        }
-        Err(e) if e.is_corruption() => {
-            counters.cache_quarantines.fetch_add(1, Ordering::Relaxed);
-            match persist::quarantine(path) {
-                Ok(to) => eprintln!(
-                    "serve: cache image corrupt ({e}); quarantined to {}, starting cold",
-                    to.display()
-                ),
-                Err(qe) => eprintln!(
-                    "serve: cache image corrupt ({e}); quarantine failed ({qe}), starting cold"
-                ),
-            }
-        }
-        Err(e) => eprintln!("serve: cache load failed ({e}); starting cold"),
-    }
-}
-
-fn flush_cache(path: &Path) {
-    if let Some(parent) = path.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    if let Err(e) = identify_cache_save(path) {
-        eprintln!("serve: cache flush failed ({e})");
-    }
-}
-
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -546,8 +475,7 @@ fn run_attempt(
     let chaos_panic = spec.chaos == Some(Chaos::Panic);
 
     // The isolation boundary: nothing a job does past this point can take
-    // the daemon down. A panicking engine poisons at most some cache
-    // shards, which rebuild themselves on next touch.
+    // the daemon down.
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         if chaos_panic {
             panic!("chaos: injected panic");
@@ -566,17 +494,7 @@ fn run_attempt(
 }
 
 fn base_report(stem: &str, outcome: Outcome, attempts: u32, elapsed_ms: u64) -> JobReport {
-    let cache = identify_cache_stats();
-    JobReport {
-        job: stem.to_string(),
-        outcome,
-        attempts,
-        elapsed_ms,
-        engine: None,
-        cache_hits: cache.hits,
-        cache_misses: cache.misses,
-        error: None,
-    }
+    JobReport { job: stem.to_string(), outcome, attempts, elapsed_ms, engine: None, error: None }
 }
 
 fn write_report(dir: &Path, stem: &str, report: &JobReport) {
@@ -673,9 +591,6 @@ pub fn serve(config: &ServeConfig) -> io::Result<ServeSummary> {
         signals::install();
     }
     let counters = Counters::default();
-    if let Some(cache) = &config.cache {
-        load_cache(cache, &counters);
-    }
     let adopted = adopt_orphans(&dirs)?;
     if adopted > 0 {
         println!("serve: re-adopted {adopted} orphaned job file(s) from running/");
@@ -757,9 +672,6 @@ pub fn serve(config: &ServeConfig) -> io::Result<ServeSummary> {
             if last_stats.elapsed() >= config.stats_every {
                 last_stats = Instant::now();
                 println!("{}", counters.stats_line());
-                if let Some(cache) = &config.cache {
-                    flush_cache(cache);
-                }
             }
 
             if draining {
@@ -776,9 +688,6 @@ pub fn serve(config: &ServeConfig) -> io::Result<ServeSummary> {
     });
     loop_result?;
 
-    if let Some(cache) = &config.cache {
-        flush_cache(cache);
-    }
     println!("{}", counters.stats_line());
     Ok(counters.summary())
 }
@@ -805,7 +714,6 @@ mod tests {
     fn quick_config(root: &Path) -> ServeConfig {
         ServeConfig {
             once: true,
-            cache: None,
             handle_signals: false,
             jobs: Jobs::new(2),
             retry_backoff: Duration::from_millis(1),

@@ -7,24 +7,21 @@
 //! `.aag`/`.aig`, or a `.lut` covering, see `docs/formats.md` — and a small
 //! `.job` spec into `<root>/jobs/incoming/` and a result netlist in the
 //! same format plus a one-line JSON report appear in `<root>/jobs/done/`
-//! (or `<root>/jobs/failed/` with an explicit outcome). All jobs in one daemon share the process-wide
-//! comparison-function identification memo, which persists across restarts
-//! as a checksummed cache image — a warm daemon answers repeat workloads
-//! without redoing the exponential identification work, and produces
-//! **bit-identical results** to a cold one.
+//! (or `<root>/jobs/failed/` with an explicit outcome). Identification is
+//! a table lookup for cones of up to five inputs, so the daemon keeps no
+//! warm state: there is no cache to load at start or persist between
+//! restarts.
 //!
 //! The three design rules, in priority order:
 //!
 //! 1. **Never take the daemon down for one job.** Panics are contained per
-//!    job (`panicked` outcome), poisoned cache shards rebuild themselves,
-//!    malformed inputs are typed errors.
+//!    job (`panicked` outcome), malformed inputs are typed errors.
 //! 2. **Never lose or flap a result.** Every job transition is a rename;
 //!    reports are written atomically and are immutable once present;
 //!    orphaned jobs re-run idempotently after a crash.
 //! 3. **Degrade explicitly, not silently.** Overload sheds jobs with an
 //!    `overloaded` report; budget exhaustion completes with the partial
-//!    verified result and a stop reason; a corrupt cache image is
-//!    quarantined (kept for forensics) and the daemon starts cold.
+//!    verified result and a stop reason.
 //!
 //! See [`daemon`] for the lifecycle and [`outcome`] for the report format;
 //! `DESIGN.md` in the workspace root has the full architecture notes.
@@ -43,7 +40,6 @@
 //!
 //! let config = ServeConfig {
 //!     once: true,                       // drain what's there, then return
-//!     cache: None,                      // no persistent cache for the demo
 //!     handle_signals: false,
 //!     poll: Duration::from_millis(1),
 //!     ..ServeConfig::new(&root)

@@ -88,10 +88,6 @@ pub struct JobReport {
     pub elapsed_ms: u64,
     /// Engine results, when the engine ran.
     pub engine: Option<EngineOutcome>,
-    /// Process-wide identification-cache hits at job completion.
-    pub cache_hits: u64,
-    /// Process-wide identification-cache misses at job completion.
-    pub cache_misses: u64,
     /// Human-readable error for non-`done` outcomes.
     pub error: Option<String>,
 }
@@ -133,8 +129,6 @@ impl JobReport {
             fields.push(format!("\"paths_before\":\"{}\"", json_escape(&engine.paths_before)));
             fields.push(format!("\"paths_after\":\"{}\"", json_escape(&engine.paths_after)));
         }
-        fields.push(format!("\"cache_hits\":{}", self.cache_hits));
-        fields.push(format!("\"cache_misses\":{}", self.cache_misses));
         if let Some(error) = &self.error {
             fields.push(format!("\"error\":\"{}\"", json_escape(error)));
         }
@@ -184,8 +178,6 @@ mod tests {
                 paths_before: "11".into(),
                 paths_after: "9".into(),
             }),
-            cache_hits: 5,
-            cache_misses: 7,
             error: None,
         }
     }
@@ -202,7 +194,6 @@ mod tests {
             "\"stop_reason\":\"converged\"",
             "\"gates_after\":8",
             "\"paths_after\":\"9\"",
-            "\"cache_hits\":5",
         ] {
             assert!(line.contains(needle), "missing {needle} in {line}");
         }

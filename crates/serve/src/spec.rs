@@ -74,8 +74,8 @@ impl JobSpec {
     ///
     /// Per-job cone scoring is always **serial**: the daemon's parallelism
     /// is across jobs (the admission gate), and serial scoring keeps every
-    /// job's output bit-identical between warm-cache and cold-cache runs
-    /// even when the job carries a step budget.
+    /// job's output independent of the worker count even when the job
+    /// carries a step budget.
     pub fn resynth_options(&self) -> ResynthOptions {
         let defaults = ResynthOptions::default();
         ResynthOptions {

@@ -46,10 +46,9 @@
 //! `sft serve <root>` watches `<root>/jobs/incoming/` for `.bench`+`.job`
 //! pairs and writes results to `<root>/jobs/done|failed/`. Options:
 //! `--jobs N` concurrent jobs (default: all cores), `--queue N` waiting
-//! slots before shedding, `--once` (drain and exit), `--cache <path>|off`
-//! (identification-cache image; default
-//! `<root>/jobs/cache/identify.sigcache`), `--time-limit` / `--step-limit`
-//! default per-job budgets, `--max-attempts N` and `--stats-every <dur>`.
+//! slots before shedding, `--once` (drain and exit), `--time-limit` /
+//! `--step-limit` default per-job budgets, `--max-attempts N` and
+//! `--stats-every <dur>`.
 //! Stop with SIGINT/SIGTERM (once = drain, twice = cancel in-flight) or by
 //! creating `<root>/jobs/control/stop`.
 
@@ -92,10 +91,7 @@ fn load(path: &str, args: &[String]) -> Result<Circuit, String> {
 /// Writes a circuit in the format named by `--to` or the extension.
 fn save(path: &str, circuit: &Circuit, args: &[String]) -> Result<(), String> {
     let format = format_for(path, opt(args, "--to").as_deref())?;
-    let mut options = WriteOptions::default();
-    if let Some(k) = opt(args, "--lut-k") {
-        options.lut_k = k.parse().map_err(|_| format!("bad --lut-k value {k:?}"))?;
-    }
+    let options = WriteOptions { lut_k: num(args, "--lut-k", WriteOptions::default().lut_k)? };
     let bytes =
         sft::io::write_bytes(circuit, format, &options).map_err(|e| format!("{path}: {e}"))?;
     std::fs::write(path, bytes).map_err(|e| format!("{path}: {e}"))
@@ -119,7 +115,6 @@ const VALUE_OPTIONS: &[&str] = &[
     "--step-limit",
     "--jobs",
     "--queue",
-    "--cache",
     "--max-attempts",
     "--stats-every",
     "--width",
@@ -134,11 +129,17 @@ const VALUE_OPTIONS: &[&str] = &[
     "--lut-k",
 ];
 
-/// Parses `--jobs`, or returns `default` without it (`1` = exact serial order).
-fn jobs_from(args: &[String], default: Jobs) -> Result<Jobs, String> {
-    match (flag(args, "--jobs"), opt(args, "--jobs")) {
-        (true, None) => Err("--jobs needs a value (a number, 0 or \"all\")".into()),
-        (_, Some(v)) => v.parse().map_err(|e| format!("--jobs: {e}")),
+/// Parses the value of the numeric option `name` (a count, or `--jobs`),
+/// or returns `default` without it. A missing or unparsable value is an
+/// error.
+fn num<T>(args: &[String], name: &str, default: T) -> Result<T, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    match (flag(args, name), opt(args, name)) {
+        (true, None) => Err(format!("{name} needs a value")),
+        (_, Some(v)) => v.parse().map_err(|e| format!("{name} {v:?}: {e}")),
         _ => Ok(default),
     }
 }
@@ -250,25 +251,17 @@ fn run() -> Result<(), String> {
             };
             let opts = ResynthOptions {
                 objective,
-                max_inputs: opt(rest, "--k").and_then(|v| v.parse().ok()).unwrap_or(5),
+                max_inputs: num(rest, "--k", 5)?,
                 allow_input_negation: flag(rest, "--negation"),
-                max_cover_units: opt(rest, "--covers").and_then(|v| v.parse().ok()).unwrap_or(1),
+                max_cover_units: num(rest, "--covers", 1)?,
                 use_satisfiability_dont_cares: flag(rest, "--dont-cares"),
-                jobs: jobs_from(rest, Jobs::serial())?,
+                jobs: num(rest, "--jobs", Jobs::serial())?,
                 ..ResynthOptions::default()
             };
             let budget = budget_from(rest)?;
             let report =
                 resynthesize_with_budget(&mut c, &opts, &budget).map_err(|e| e.to_string())?;
             println!("{report}");
-            let stats = sft::core::identify_cache_stats();
-            println!(
-                "identify cache: {} hits, {} misses, {} entries ({:.1}% hit rate)",
-                stats.hits,
-                stats.misses,
-                stats.entries,
-                stats.hit_rate() * 100.0
-            );
             print_stop(report.stop_reason);
             save(output, &c, rest)
         }
@@ -288,7 +281,7 @@ fn run() -> Result<(), String> {
             let files = positionals(rest);
             let c = load(files.first().ok_or("testgen needs an input file")?, rest)?;
             let budget = budget_from(rest)?;
-            let jobs = jobs_from(rest, Jobs::serial())?;
+            let jobs = num(rest, "--jobs", Jobs::serial())?;
             let opts = TestSetOptions { jobs, ..TestSetOptions::default() };
             let set = generate_test_set_with_budget(&c, &opts, &budget);
             println!(
@@ -333,8 +326,8 @@ fn run() -> Result<(), String> {
             let files = positionals(rest);
             let c = load(files.first().ok_or("pdf needs an input file")?, rest)?;
             let cfg = PdfCampaignConfig {
-                max_pairs: opt(rest, "--pairs").and_then(|v| v.parse().ok()).unwrap_or(1 << 14),
-                jobs: jobs_from(rest, Jobs::serial())?,
+                max_pairs: num(rest, "--pairs", 1 << 14)?,
+                jobs: num(rest, "--jobs", Jobs::serial())?,
                 ..PdfCampaignConfig::default()
             };
             let budget = budget_from(rest)?;
@@ -381,34 +374,26 @@ fn run() -> Result<(), String> {
             let kind =
                 files.first().ok_or("gen needs a kind: mul, adder, alu, dag or stitch")?.as_str();
             let output = files.get(1).ok_or("gen needs an output file")?;
-            let num = |name: &str, default: usize| -> Result<usize, String> {
-                match opt(rest, name) {
-                    Some(v) => v.parse().map_err(|_| format!("bad value {v:?} for {name}")),
-                    None => Ok(default),
-                }
-            };
-            let seed: u64 = match opt(rest, "--seed") {
-                Some(v) => v.parse().map_err(|_| format!("bad seed {v:?}"))?,
-                None => 1,
-            };
+            let size = |name: &str, default: usize| num(rest, name, default);
+            let seed: u64 = num(rest, "--seed", 1)?;
             let c = match kind {
-                "mul" => gen::wide_multiplier(num("--width", 32)?),
-                "adder" => gen::wide_adder(num("--width", 64)?),
-                "alu" => gen::alu(num("--width", 64)?),
+                "mul" => gen::wide_multiplier(size("--width", 32)?),
+                "adder" => gen::wide_adder(size("--width", 64)?),
+                "alu" => gen::alu(size("--width", 64)?),
                 "dag" => gen::deep_dag(&RandomCircuitConfig {
-                    inputs: num("--inputs", 64)?,
-                    outputs: num("--outputs", 32)?,
-                    gates: num("--gates", 100_000)?,
-                    window: num("--window", 48)?,
+                    inputs: size("--inputs", 64)?,
+                    outputs: size("--outputs", 32)?,
+                    gates: size("--gates", 100_000)?,
+                    window: size("--window", 48)?,
                     seed,
                 }),
                 "stitch" => gen::stitched(
-                    num("--copies", 100)?,
+                    size("--copies", 100)?,
                     &RandomCircuitConfig {
-                        inputs: num("--inputs", 32)?,
-                        outputs: num("--outputs", 16)?,
-                        gates: num("--gates", 260)?,
-                        window: num("--window", 56)?,
+                        inputs: size("--inputs", 32)?,
+                        outputs: size("--outputs", 16)?,
+                        gates: size("--gates", 260)?,
+                        window: size("--window", 56)?,
                         seed,
                     },
                 ),
@@ -423,16 +408,9 @@ fn run() -> Result<(), String> {
             let files = positionals(rest);
             let root = files.first().ok_or("serve needs a root directory")?;
             let mut config = sft::serve::ServeConfig::new(root.as_str());
-            config.jobs = jobs_from(rest, config.jobs)?;
+            config.jobs = num(rest, "--jobs", config.jobs)?;
             config.once = flag(rest, "--once");
-            if let Some(queue) = opt(rest, "--queue") {
-                config.queue = queue.parse().map_err(|_| format!("bad queue size {queue:?}"))?;
-            }
-            match opt(rest, "--cache").as_deref() {
-                Some("off") => config.cache = None,
-                Some(path) => config.cache = Some(path.into()),
-                None => {}
-            }
+            config.queue = num(rest, "--queue", config.queue)?;
             if let Some(limit) = opt(rest, "--time-limit") {
                 config.default_time_limit = Some(parse_duration(&limit)?);
             }
@@ -440,11 +418,9 @@ fn run() -> Result<(), String> {
                 let steps: u64 = limit.parse().map_err(|_| format!("bad step limit {limit:?}"))?;
                 config.default_step_limit = Some(steps);
             }
-            if let Some(n) = opt(rest, "--max-attempts") {
-                config.max_attempts = n.parse().map_err(|_| format!("bad attempt count {n:?}"))?;
-                if config.max_attempts == 0 {
-                    return Err("--max-attempts must be at least 1".into());
-                }
+            config.max_attempts = num(rest, "--max-attempts", config.max_attempts)?;
+            if config.max_attempts == 0 {
+                return Err("--max-attempts must be at least 1".into());
             }
             if let Some(period) = opt(rest, "--stats-every") {
                 config.stats_every = parse_duration(&period)?;

@@ -40,9 +40,6 @@
 /// Truth tables and cubes for functions of up to 7 inputs.
 pub use sft_truth as truth;
 
-/// Permutation-canonical forms and the shared signature memo table.
-pub use sft_canon as canon;
-
 /// The gate-level circuit model, `.bench` I/O, path counting and
 /// structural transforms.
 pub use sft_netlist as netlist;
@@ -89,6 +86,6 @@ pub use sft_par as par;
 pub use sft_io as io;
 
 /// The crash-safe job-directory resynthesis daemon behind `sft serve`:
-/// persistent warm identification cache, per-job panic isolation,
-/// admission control with load shedding, and graceful shutdown.
+/// per-job panic isolation, admission control with load shedding, and
+/// graceful shutdown.
 pub use sft_serve as serve;

@@ -205,6 +205,25 @@ fn jobs_flag_rejects_missing_and_garbage_values() {
     }
 }
 
+/// An unparsable numeric option is an error, not a silent default.
+#[test]
+fn numeric_options_reject_garbage_values() {
+    let input = write_bench("num_bad.bench", DEMO);
+    let output = write_bench("num_bad_out.bench", "");
+    let (input, output) = (input.to_str().unwrap(), output.to_str().unwrap());
+    for (args, option) in [
+        (vec!["resynth", input, output, "--k", "six"], "--k"),
+        (vec!["resynth", input, output, "--covers", "two"], "--covers"),
+        (vec!["resynth", input, output, "--k"], "--k"),
+        (vec!["pdf", input, "--pairs", "many"], "--pairs"),
+    ] {
+        let out = sft().args(&args).output().expect("spawn");
+        assert!(!out.status.success(), "{args:?}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(option), "{args:?}: {err}");
+    }
+}
+
 #[test]
 fn convert_round_trips_through_verilog_and_aiger() {
     let input = write_bench("conv.bench", DEMO);

@@ -221,7 +221,7 @@ fn edit_rollback_decisions_are_pinned() {
 /// Drains six jobs (the small suite, twice over) through the daemon with a
 /// queue as long as the batch; returns the summary and the result netlists
 /// by file name.
-fn drain(root: &Path, cache: &Path, jobs: Jobs) -> (ServeSummary, BTreeMap<String, String>) {
+fn drain(root: &Path, jobs: Jobs) -> (ServeSummary, BTreeMap<String, String>) {
     let incoming = root.join("jobs/incoming");
     std::fs::create_dir_all(&incoming).expect("create incoming");
     for (i, entry) in suite_small().iter().cycle().take(6).enumerate() {
@@ -234,7 +234,6 @@ fn drain(root: &Path, cache: &Path, jobs: Jobs) -> (ServeSummary, BTreeMap<Strin
         jobs,
         queue: 6,
         once: true,
-        cache: Some(cache.to_path_buf()),
         handle_signals: false,
         poll: Duration::from_millis(1),
         ..ServeConfig::new(root)
@@ -251,21 +250,19 @@ fn drain(root: &Path, cache: &Path, jobs: Jobs) -> (ServeSummary, BTreeMap<Strin
     (summary, outputs)
 }
 
-/// A cold serial drain, then a warm two-worker drain from the image the
-/// cold one saved. Outcomes and result netlists depend on neither.
+/// A serial drain, then a two-worker drain. Outcomes and result netlists
+/// do not depend on the worker count.
 #[test]
 fn serve_outcome_decisions_are_pinned() {
     let scratch = std::env::temp_dir().join(format!("sft-decisions-serve-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch);
-    let image = scratch.join("identify.sigcache");
-    let (cold, cold_out) = drain(&scratch.join("cold"), &image, Jobs::serial());
-    let (warm, warm_out) = drain(&scratch.join("warm"), &image, Jobs::new(2));
+    let (serial, serial_out) = drain(&scratch.join("serial"), Jobs::serial());
+    let (two, two_out) = drain(&scratch.join("two"), Jobs::new(2));
     let _ = std::fs::remove_dir_all(&scratch);
 
     // (done, failed, shed)
-    assert_eq!((cold.done, cold.failed, cold.shed), (6, 0, 0), "cold serve outcomes drifted");
-    assert_eq!((warm.done, warm.failed, warm.shed), (6, 0, 0), "warm serve outcomes drifted");
-    assert_eq!(warm.cache_loads, 1, "the warm drain must load the image the cold one saved");
-    assert_eq!(cold_out.len(), 6);
-    assert_eq!(cold_out, warm_out, "serve results must not depend on cache or worker count");
+    assert_eq!((serial.done, serial.failed, serial.shed), (6, 0, 0), "serial outcomes drifted");
+    assert_eq!((two.done, two.failed, two.shed), (6, 0, 0), "two-worker outcomes drifted");
+    assert_eq!(serial_out.len(), 6);
+    assert_eq!(serial_out, two_out, "serve results must not depend on the worker count");
 }
