@@ -10,9 +10,7 @@
 use crate::podem::{generate_test_with, PodemContext, TestResult};
 use sft_budget::{Budget, StopReason};
 use sft_netlist::Circuit;
-use sft_par::{parallel_map, Jobs};
-use sft_sim::{fault_list, pattern_block, Fault, FaultSim, FaultSimTables};
-use std::sync::Arc;
+use sft_sim::{fault_list, pattern_block, Fault, FaultSim};
 
 /// Options for [`generate_test_set`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,24 +23,11 @@ pub struct TestSetOptions {
     pub compact: bool,
     /// Seed for the random phase.
     pub seed: u64,
-    /// Worker threads simulating phase-1 pattern blocks concurrently. The
-    /// generated test set is bit-identical at any value (blocks derive
-    /// their patterns from `(seed, block)` and merge in block order); the
-    /// deterministic PODEM phase always runs on the calling thread. The
-    /// budget is checked once per chunk of up to `jobs` blocks instead of
-    /// once per block.
-    pub jobs: Jobs,
 }
 
 impl Default for TestSetOptions {
     fn default() -> Self {
-        TestSetOptions {
-            backtrack_limit: 50_000,
-            random_blocks: 8,
-            compact: true,
-            seed: 0x7e57,
-            jobs: Jobs::serial(),
-        }
+        TestSetOptions { backtrack_limit: 50_000, random_blocks: 8, compact: true, seed: 0x7e57 }
     }
 }
 
@@ -117,66 +102,34 @@ pub fn generate_test_set_with_budget(
 ) -> TestSet {
     assert!(!circuit.inputs().is_empty(), "circuit must have inputs");
     let faults = fault_list(circuit);
-    let tables = FaultSimTables::snapshot(circuit);
-    let mut fsim = FaultSim::with_tables(circuit, Arc::clone(&tables));
+    let mut fsim = FaultSim::new(circuit);
     let mut alive: Vec<usize> = (0..faults.len()).collect();
     let mut vectors: Vec<Vec<bool>> = Vec::new();
     let n_inputs = circuit.inputs().len();
     let mut stop = StopReason::Converged;
 
-    // Phase 1: random patterns, keeping only effective ones. Blocks are
-    // simulated in chunks of up to `jobs` concurrent workers against the
-    // chunk-start alive set and merged strictly in block order, so the
-    // harvested vectors are bit-identical at any thread count.
-    let mut block: u64 = 0;
-    let total_blocks = options.random_blocks as u64;
-    while block < total_blocks && !alive.is_empty() {
+    // Phase 1: random patterns, keeping only effective ones. Block `b`
+    // derives its patterns from `(seed, b)`; a vector is kept for every
+    // pattern bit that first detects a still-alive fault.
+    for block in 0..options.random_blocks as u64 {
+        if alive.is_empty() {
+            break;
+        }
         if let Err(e) = budget.check() {
             stop = e.into();
             break;
         }
-        let chunk: Vec<u64> =
-            (block..block.saturating_add(options.jobs.get() as u64).min(total_blocks)).collect();
+        let words = pattern_block(options.seed, block, n_inputs);
         let alive_faults: Vec<Fault> = alive.iter().map(|&i| faults[i]).collect();
-        let per_block: Vec<(Vec<u64>, Vec<Option<u32>>)> = match options.jobs.is_serial() {
-            true => chunk
-                .iter()
-                .map(|&b| {
-                    let words = pattern_block(options.seed, b, n_inputs);
-                    let det = fsim.detect_block(&alive_faults, &words);
-                    (words, det)
-                })
-                .collect(),
-            false => parallel_map(options.jobs, &chunk, |_, &b| {
-                let mut worker = FaultSim::with_tables(circuit, Arc::clone(&tables));
-                let words = pattern_block(options.seed, b, n_inputs);
-                let det = worker.detect_block(&alive_faults, &words);
-                (words, det)
-            }),
-        };
-        // `still[slot]` tracks the chunk-start alive set as merged blocks
-        // kill faults; a fault detected by two concurrent blocks is
-        // credited to the earlier block, exactly as the serial loop would.
-        let mut still = vec![true; alive.len()];
-        for (words, det) in &per_block {
-            let mut effective_bits: Vec<u32> = Vec::new();
-            for (slot, d) in det.iter().enumerate() {
-                if let Some(bit) = d {
-                    if still[slot] {
-                        still[slot] = false;
-                        effective_bits.push(*bit);
-                    }
-                }
-            }
-            effective_bits.sort_unstable();
-            effective_bits.dedup();
-            for bit in effective_bits {
-                let vector: Vec<bool> = (0..n_inputs).map(|i| words[i] >> bit & 1 == 1).collect();
-                vectors.push(vector);
-            }
+        let det = fsim.detect_block(&alive_faults, &words);
+        let mut effective_bits: Vec<u32> = det.iter().flatten().copied().collect();
+        effective_bits.sort_unstable();
+        effective_bits.dedup();
+        for bit in effective_bits {
+            let vector: Vec<bool> = (0..n_inputs).map(|i| words[i] >> bit & 1 == 1).collect();
+            vectors.push(vector);
         }
-        alive = alive.iter().zip(&still).filter(|&(_, &s)| s).map(|(&i, _)| i).collect();
-        block += chunk.len() as u64;
+        alive = alive.iter().zip(&det).filter(|(_, d)| d.is_none()).map(|(&i, _)| i).collect();
     }
 
     // Phase 2: deterministic PODEM with fault dropping. The circuit is
@@ -290,19 +243,6 @@ INPUT(1)\nINPUT(2)\nINPUT(3)\nINPUT(6)\nINPUT(7)\nOUTPUT(22)\nOUTPUT(23)\n\
         verify_complete(&c, &set);
         // c17 needs very few vectors; compaction should keep it small.
         assert!(set.vectors.len() <= 10, "{} vectors", set.vectors.len());
-    }
-
-    #[test]
-    fn thread_count_does_not_change_test_set() {
-        let c = parse(C17, "c17").unwrap();
-        let serial = generate_test_set(&c, &TestSetOptions::default());
-        for jobs in [2, 3, 8] {
-            let par = generate_test_set(
-                &c,
-                &TestSetOptions { jobs: Jobs::new(jobs), ..TestSetOptions::default() },
-            );
-            assert_eq!(serial, par, "jobs={jobs}");
-        }
     }
 
     #[test]

@@ -4,7 +4,7 @@ use sft_bench::format::{grouped_paths, header, row};
 use sft_bench::{table2_rows, ExperimentConfig};
 
 fn main() {
-    let cfg = ExperimentConfig::from_args(std::env::args().skip(1));
+    let cfg = ExperimentConfig::from_env();
     println!("Table 2: Results of Procedure 2 (gates minimized, then redundancy removal)");
     println!();
     header(&[

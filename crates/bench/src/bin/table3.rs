@@ -4,7 +4,7 @@ use sft_bench::format::{grouped_paths, header, row};
 use sft_bench::{table3_rows, ExperimentConfig};
 
 fn main() {
-    let cfg = ExperimentConfig::from_args(std::env::args().skip(1));
+    let cfg = ExperimentConfig::from_env();
     println!("Table 3: Comparison with RAMBO_C (RAR baseline), then Procedure 2 on top");
     println!();
     header(&[

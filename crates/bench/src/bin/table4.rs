@@ -4,7 +4,7 @@ use sft_bench::format::{header, row};
 use sft_bench::{table4_rows, ExperimentConfig};
 
 fn main() {
-    let cfg = ExperimentConfig::from_args(std::env::args().skip(1));
+    let cfg = ExperimentConfig::from_env();
     let rows = table4_rows(&cfg);
     println!("Table 4(a): Original circuits, before and after Procedure 2");
     println!();

@@ -5,7 +5,7 @@ use sft_bench::format::{grouped, header, row};
 use sft_bench::{table6_rows, ExperimentConfig};
 
 fn main() {
-    let cfg = ExperimentConfig::from_args(std::env::args().skip(1));
+    let cfg = ExperimentConfig::from_env();
     println!(
         "Table 6: Stuck-at random-pattern testability ({} patterns, seed {})",
         grouped(cfg.stuck_at_patterns as u128),

@@ -6,7 +6,7 @@ use sft_bench::format::{grouped, header, row};
 use sft_bench::{table7_rows, ExperimentConfig};
 
 fn main() {
-    let cfg = ExperimentConfig::from_args(std::env::args().skip(1));
+    let cfg = ExperimentConfig::from_env();
     println!(
         "Table 7: Robust PDF detection by random pairs (plateau {}, seed {})",
         grouped(cfg.pdf_plateau as u128),

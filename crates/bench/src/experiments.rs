@@ -30,9 +30,9 @@ pub struct ExperimentConfig {
     pub seed: u64,
     /// Use the 3-circuit quick suite instead of the full 8-circuit suite.
     pub quick: bool,
-    /// Worker threads for the parallel engines (resynthesis candidate
-    /// scoring, campaign pattern blocks). Results are bit-identical at any
-    /// value.
+    /// Worker threads for the Table 7 robust PDF campaign's pattern-pair
+    /// blocks. Results are bit-identical at any value; every other
+    /// experiment runs serially.
     pub jobs: Jobs,
 }
 
@@ -53,37 +53,42 @@ impl Default for ExperimentConfig {
 }
 
 impl ExperimentConfig {
-    /// Parses `--quick` and `--patterns N` style flags from CLI arguments.
-    pub fn from_args(args: impl Iterator<Item = String>) -> Self {
+    /// Parses `--quick` and the `--jobs`, `--patterns`, `--pairs` and
+    /// `--seed` value flags from CLI arguments; other arguments are ignored.
+    ///
+    /// # Errors
+    ///
+    /// A value flag that is last or whose value does not parse.
+    pub fn from_args(mut args: impl Iterator<Item = String>) -> Result<Self, String> {
+        fn value<T>(args: &mut impl Iterator<Item = String>, name: &str) -> Result<T, String>
+        where
+            T: std::str::FromStr,
+            T::Err: std::fmt::Display,
+        {
+            let v = args.next().ok_or_else(|| format!("{name} needs a value"))?;
+            v.parse().map_err(|e| format!("{name} {v:?}: {e}"))
+        }
         let mut cfg = ExperimentConfig::default();
-        let mut args = args.peekable();
         while let Some(a) = args.next() {
             match a.as_str() {
                 "--quick" => cfg.quick = true,
-                "--jobs" => {
-                    if let Some(v) = args.next().and_then(|s| s.parse().ok()) {
-                        cfg.jobs = v;
-                    }
-                }
-                "--patterns" => {
-                    if let Some(v) = args.next().and_then(|s| s.parse().ok()) {
-                        cfg.stuck_at_patterns = v;
-                    }
-                }
-                "--pairs" => {
-                    if let Some(v) = args.next().and_then(|s| s.parse().ok()) {
-                        cfg.pdf_max_pairs = v;
-                    }
-                }
-                "--seed" => {
-                    if let Some(v) = args.next().and_then(|s| s.parse().ok()) {
-                        cfg.seed = v;
-                    }
-                }
+                "--jobs" => cfg.jobs = value(&mut args, "--jobs")?,
+                "--patterns" => cfg.stuck_at_patterns = value(&mut args, "--patterns")?,
+                "--pairs" => cfg.pdf_max_pairs = value(&mut args, "--pairs")?,
+                "--seed" => cfg.seed = value(&mut args, "--seed")?,
                 _ => {}
             }
         }
-        cfg
+        Ok(cfg)
+    }
+
+    /// [`from_args`](Self::from_args) over the process arguments, for the
+    /// table binaries: a bad flag prints the error and exits with status 2.
+    pub fn from_env() -> Self {
+        Self::from_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        })
     }
 
     /// The benchmark suite selected by `quick`.
@@ -99,7 +104,6 @@ impl ExperimentConfig {
         ResynthOptions {
             max_inputs: k,
             max_candidates_per_gate: self.max_candidates,
-            jobs: self.jobs,
             ..ResynthOptions::default()
         }
     }
@@ -325,8 +329,6 @@ pub fn table6_rows(cfg: &ExperimentConfig) -> Vec<Table6Row> {
                         max_patterns: cfg.stuck_at_patterns,
                         plateau: 0,
                         seed: cfg.seed,
-                        jobs: cfg.jobs,
-                        ..CampaignConfig::default()
                     },
                 );
                 (r.total_faults, r.remaining(), r.last_effective_pattern)
@@ -405,14 +407,28 @@ mod tests {
         }
     }
 
+    fn parse(args: &[&str]) -> Result<ExperimentConfig, String> {
+        ExperimentConfig::from_args(args.iter().map(|s| s.to_string()))
+    }
+
     #[test]
     fn config_from_args() {
-        let cfg = ExperimentConfig::from_args(
-            ["--quick", "--patterns", "123", "--seed", "7"].iter().map(|s| s.to_string()),
-        );
+        let cfg = parse(&["--quick", "--patterns", "123", "--seed", "7"]).unwrap();
         assert!(cfg.quick);
         assert_eq!(cfg.stuck_at_patterns, 123);
         assert_eq!(cfg.seed, 7);
+    }
+
+    /// A value flag without a value, or with an unparsable one, is an
+    /// error naming the flag, not a silent default.
+    #[test]
+    fn config_from_args_rejects_missing_and_garbage_values() {
+        for flag in ["--jobs", "--patterns", "--pairs", "--seed"] {
+            for args in [vec!["--quick", flag], vec![flag, "many", "--quick"]] {
+                let err = parse(&args).unwrap_err();
+                assert!(err.contains(flag), "{args:?}: {err}");
+            }
+        }
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //!
 //! Each `tableN` binary prints the same rows the paper's Table N reports,
 //! measured on the substitute benchmark suite (see `sft-circuits` and
-//! DESIGN.md). The logic lives here in library form so the integration
-//! tests can smoke-run scaled-down versions and the Criterion benches can
-//! time the kernels.
+//! DESIGN.md). The logic lives here in library form so the tests can
+//! smoke-run scaled-down versions.
 //!
 //! Budget scaling: the paper applies up to 30,000,000 random patterns; on
 //! one core the defaults here are scaled down (see [`ExperimentConfig`]).
@@ -15,17 +14,19 @@
 //! # Examples
 //!
 //! Experiment drivers parse their budget and parallelism knobs from CLI
-//! arguments; `--jobs` feeds every parallel engine:
+//! arguments; `--jobs` feeds only the Table 7 robust PDF campaign, the one
+//! experiment engine that runs on worker threads:
 //!
 //! ```
 //! use sft_bench::ExperimentConfig;
 //!
 //! let args = ["--quick", "--patterns", "4096", "--jobs", "4", "--seed", "7"];
-//! let cfg = ExperimentConfig::from_args(args.iter().map(|s| s.to_string()));
+//! let cfg = ExperimentConfig::from_args(args.iter().map(|s| s.to_string()))?;
 //! assert!(cfg.quick);
 //! assert_eq!(cfg.stuck_at_patterns, 4096);
 //! assert_eq!(cfg.jobs.get(), 4);
 //! assert_eq!(cfg.seed, 7);
+//! # Ok::<(), String>(())
 //! ```
 
 pub mod experiments;

@@ -1,8 +1,7 @@
 //! Candidate subcircuits: cone enumeration, comparison-function
 //! identification, and scoring.
 //!
-//! Everything here is read-only on the circuit, which is what lets the pass
-//! fan candidate scoring out to worker threads. Fanout facts come from the
+//! Everything here is read-only on the circuit. Fanout facts come from the
 //! maintained [`CircuitViews`] (exact after every edit); path labels come
 //! from the pass-start snapshot in [`ScoreCtx`].
 
@@ -35,7 +34,7 @@ pub(super) struct Candidate {
 }
 
 /// Per-gate read-only context shared by every candidate scoring of one
-/// replacement site (and by all scoring workers).
+/// replacement site.
 pub(super) struct ScoreCtx<'a> {
     pub(super) g: NodeId,
     /// Path labels snapshotted at pass start (the scoring contract: every
@@ -143,11 +142,9 @@ pub(super) fn enumerate_candidates(
 /// cover), and computes the gate/path deltas. Returns `Ok(None)` when the
 /// cone has no admissible replacement.
 ///
-/// Read-only on the circuit — safe to call from worker threads. Consumes
-/// one budget step (the pass's unit of work) before doing anything
-/// expensive, so once the budget is exhausted all pending scorings return
-/// immediately; concurrent workers can overshoot the step limit by at most
-/// the number of in-flight calls.
+/// Read-only on the circuit. Consumes one budget step (the pass's unit of
+/// work) before doing anything expensive, so a step limit bounds the
+/// scorings exactly.
 pub(super) fn score_candidate(
     circuit: &Circuit,
     options: &ResynthOptions,

@@ -206,7 +206,7 @@ pub(super) fn run(
     // Build the reference BDDs once. If even the input circuit does not fit
     // the verification manager, no verified replacement is possible: return
     // the untouched circuit with the reason.
-    let mut verifier = if options.verify_each_pass {
+    let mut verifier = {
         let mut manager = sft_bdd::Manager::with_node_limit(options.verify_node_limit);
         let var_order = sft_bdd::dfs_input_order(circuit);
         match sft_bdd::circuit_node_bdds_ordered(&mut manager, circuit, &var_order, budget) {
@@ -214,7 +214,7 @@ pub(super) fn run(
                 let reference: Vec<sft_bdd::BddRef> =
                     circuit.outputs().iter().map(|o| node_refs[o.index()]).collect();
                 let peak = manager.node_count();
-                Some(Verifier { manager, reference, node_refs, var_order, peak })
+                Verifier { manager, reference, node_refs, var_order, peak }
             }
             Err(e) => {
                 report.verify_nodes = manager.node_count();
@@ -225,8 +225,6 @@ pub(super) fn run(
                 return finish(circuit, report, reason);
             }
         }
-    } else {
-        None
     };
     // Gates (ids of the committed circuit) whose rejection last pass is
     // outside this pass's modified region: the next pass replays the
@@ -264,32 +262,27 @@ pub(super) fn run(
         let (bdd_dirty, score_dirty, live) = dirty_regions(circuit, cp);
         // Verify *before* sweeping: the journal can still undo everything
         // (sweep compacts ids and closes the rollback window).
-        let mut pending = None;
-        if let Some(v) = &mut verifier {
-            let outcome = v.check_pass(circuit, &bdd_dirty, &live, budget);
-            v.peak = v.peak.max(v.manager.node_count());
-            match outcome {
-                Ok(Some(refs)) => pending = Some(refs),
-                Ok(None) => {
-                    circuit.rollback_to(cp);
-                    break StopReason::VerificationRollback;
-                }
-                Err(sft_bdd::BddError::NodeLimit(_)) => {
-                    circuit.rollback_to(cp);
-                    break StopReason::BddBlowup;
-                }
-                Err(sft_bdd::BddError::Interrupted(e)) => {
-                    circuit.rollback_to(cp);
-                    break e.into();
-                }
+        let outcome = verifier.check_pass(circuit, &bdd_dirty, &live, budget);
+        verifier.peak = verifier.peak.max(verifier.manager.node_count());
+        let refs = match outcome {
+            Ok(Some(refs)) => refs,
+            Ok(None) => {
+                circuit.rollback_to(cp);
+                break StopReason::VerificationRollback;
             }
-        }
+            Err(sft_bdd::BddError::NodeLimit(_)) => {
+                circuit.rollback_to(cp);
+                break StopReason::BddBlowup;
+            }
+            Err(sft_bdd::BddError::Interrupted(e)) => {
+                circuit.rollback_to(cp);
+                break e.into();
+            }
+        };
         // Commit the verified pass; only now is it safe to compact the ids.
         circuit.commit(cp);
         let map = circuit.sweep();
-        if let (Some(v), Some(refs)) = (&mut verifier, &pending) {
-            v.adopt(refs, &map, circuit.len());
-        }
+        verifier.adopt(&refs, &map, circuit.len());
         skip = vec![false; circuit.len()];
         if options.incremental_rescoring {
             for (old, &was_rejected) in rejected.iter().enumerate() {
@@ -317,13 +310,9 @@ pub(super) fn run(
         // verification) skips the pointless rebuild on the final,
         // converging pass.
         if options.compact_verifier {
-            if let Some(v) = &mut verifier {
-                v.compact();
-            }
+            verifier.compact();
         }
     };
-    if let Some(v) = &verifier {
-        report.verify_nodes = v.peak.max(v.manager.node_count());
-    }
+    report.verify_nodes = verifier.peak.max(verifier.manager.node_count());
     finish(circuit, report, reason)
 }

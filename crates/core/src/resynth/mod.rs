@@ -21,8 +21,8 @@
 //! After a replacement, the inputs of the selected subcircuit are marked
 //! for further processing, and the internal gates that the replacement made
 //! dead are never revisited. The whole procedure repeats in passes until a
-//! pass yields no improvement. Every pass is (optionally but by default)
-//! verified equivalent to the input circuit with BDDs.
+//! pass yields no improvement. Every pass is verified equivalent to the
+//! input circuit with BDDs.
 //!
 //! Resynthesis is **transactional per pass**, on the edit journal of
 //! [`sft_netlist`]: each pass opens an edit transaction on the live circuit
@@ -36,7 +36,7 @@
 //! The implementation is split along the transactional seams:
 //!
 //! - [`candidates`](self) — cone enumeration, identification, and scoring
-//!   (read-only on the circuit; fans out to worker threads);
+//!   (read-only on the circuit);
 //! - [`pass`](self) — one output-to-input traversal applying accepted
 //!   replacements through journaled edits;
 //! - [`commit`](self) — the pass loop: journal checkpoints, dirty-region
@@ -84,8 +84,6 @@ pub struct ResynthOptions {
     pub identify: IdentifyOptions,
     /// Maximum number of passes.
     pub max_passes: usize,
-    /// Verify circuit equivalence with BDDs after every pass.
-    pub verify_each_pass: bool,
     /// Node cap of the verification BDD manager. Verification BDDs for the
     /// reference and every pass result accumulate in one hash-consed
     /// manager; exceeding the cap rolls the run back to the last verified
@@ -107,14 +105,8 @@ pub struct ResynthOptions {
     /// no equivalent 2-input gates and add no paths). A strict
     /// generalization of Definition 1; off by default to match the paper.
     pub allow_input_negation: bool,
-    /// Worker threads scoring candidate cones concurrently. Scoring is
-    /// read-only, results are merged in enumeration order, and all circuit
-    /// edits stay on the calling thread, so the resynthesized circuit is
-    /// identical at any value when the budget is unlimited; under a step
-    /// budget, workers may overshoot the step limit by up to `jobs - 1`
-    /// in-flight scoring steps. Ignored (treated as serial) while
-    /// `use_satisfiability_dont_cares` is on, since SDC extraction shares
-    /// one mutable BDD manager.
+    /// Ignored: resynthesis always runs on the calling thread. Kept only
+    /// because the `perfbench` package sets it.
     pub jobs: Jobs,
     /// Skip re-scoring gates whose rejection provably replays: a gate
     /// rejected in a pass is not re-scored in the next pass unless the
@@ -142,7 +134,6 @@ impl Default for ResynthOptions {
             objective: Objective::Gates,
             identify: IdentifyOptions::default(),
             max_passes: 16,
-            verify_each_pass: true,
             verify_node_limit: sft_bdd::DEFAULT_NODE_LIMIT,
             use_satisfiability_dont_cares: false,
             max_cover_units: 1,
@@ -203,8 +194,7 @@ pub struct ResynthReport {
     /// was cut short and the circuit holds the last verified state.
     pub stop_reason: StopReason,
     /// **Peak** node count of the cumulative verification BDD manager over
-    /// the run (0 when `verify_each_pass` is off). A direct measure of
-    /// verification effort against
+    /// the run. A direct measure of verification effort against
     /// [`ResynthOptions::verify_node_limit`]; with
     /// [`ResynthOptions::compact_verifier`] off the manager never shrinks
     /// and the peak equals the final count.
@@ -278,7 +268,7 @@ pub fn resynthesize(
 /// state** (cost proportional to the pass's edits, not the circuit) and the
 /// function returns `Ok` with the appropriate [`StopReason`], keeping all
 /// previously committed work. The returned circuit is always BDD-verified
-/// equivalent to the input (when `verify_each_pass` is on).
+/// equivalent to the input.
 ///
 /// # Errors
 ///

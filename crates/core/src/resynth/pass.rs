@@ -9,7 +9,6 @@ use super::{Objective, ResynthOptions};
 use crate::unit::build_unit_in;
 use sft_budget::{Budget, Exhausted};
 use sft_netlist::{Circuit, GateKind, NodeId};
-use sft_par::parallel_map;
 
 /// Why a pass could not run to completion. Budget exhaustion is recoverable
 /// (rollback + report); netlist errors are not.
@@ -105,27 +104,11 @@ pub(super) fn one_pass(
         }
         let candidates = enumerate_candidates(circuit, g, options);
         let ctx = ScoreCtx { g, labels: &labels };
-        // Scoring is read-only on the circuit, so candidates fan out to
-        // worker threads; the SDC path shares one mutable BDD manager and
-        // stays sequential. Merging in enumeration order keeps the chosen
-        // candidate identical at any thread count.
-        let scored: Vec<Result<Option<Candidate>, Exhausted>> = match &mut dc_state {
-            Some(dc) => candidates
-                .iter()
-                .map(|(gates, inputs)| {
-                    score_candidate(circuit, options, budget, &ctx, Some(dc), gates, inputs)
-                })
-                .collect(),
-            None => {
-                let circuit: &Circuit = circuit;
-                parallel_map(options.jobs, &candidates, |_, (gates, inputs)| {
-                    score_candidate(circuit, options, budget, &ctx, None, gates, inputs)
-                })
-            }
-        };
         let mut best: Option<Candidate> = None;
-        for s in scored {
-            if let Some(candidate) = s? {
+        for (gates, inputs) in &candidates {
+            let scored =
+                score_candidate(circuit, options, budget, &ctx, dc_state.as_mut(), gates, inputs);
+            if let Some(candidate) = scored? {
                 best = Some(match best {
                     None => candidate,
                     Some(b) => pick_better(b, candidate, options.objective),

@@ -1,11 +1,12 @@
 //! Random two-pattern robust PDF coverage campaigns (the Table 7
 //! experiment).
 //!
-//! Like the stuck-at campaign in `sft-sim`, the pair words of 64-pair
-//! block `b` are a pure function of `(seed, b)`, blocks are simulated in
-//! chunks of [`PdfCampaignConfig::jobs`] concurrent workers, and results
-//! merge in block order — so coverage is bit-identical at any thread
-//! count.
+//! As in the stuck-at campaign of `sft-sim`, the pair words of 64-pair
+//! block `b` are a pure function of `(seed, b)`. Unlike it, this campaign
+//! runs on threads, the one engine where they pay at 2 cores: blocks are
+//! simulated in chunks of [`PdfCampaignConfig::jobs`] concurrent workers,
+//! and results merge in block order — so coverage is bit-identical at any
+//! thread count.
 
 use crate::{enumerate_paths, robust_detection_masks, PathEnumError, PathSet, TwoPatternSim};
 use rand::rngs::StdRng;

@@ -1,12 +1,14 @@
 //! Fork-join parallelism primitives for the `sft` workspace.
 //!
-//! The workspace's two hot paths — candidate-cone scoring in resynthesis
-//! and fault-simulation campaigns — are embarrassingly parallel, but the
-//! build environment vendors no external crates, so this crate provides
-//! the minimal substrate on plain `std::thread`:
+//! Threads stay only where they win on a 2-core machine: the robust
+//! path-delay-fault campaign's pattern-pair blocks (`sft pdf --jobs`) and
+//! the serve daemon's job-level workers. Resynthesis, stuck-at campaigns
+//! and test generation run on the calling thread. The build environment
+//! vendors no external crates, so this crate provides the minimal
+//! substrate on plain `std::thread`:
 //!
-//! - [`Jobs`] — the workspace-wide thread-count knob (the CLI's `--jobs`).
-//!   `Jobs::serial()` restores the exact single-threaded execution order;
+//! - [`Jobs`] — the thread-count knob (the CLI's `--jobs` on `sft pdf` and
+//!   `sft serve`). `Jobs::serial()` runs everything inline;
 //!   [`Jobs::all_cores`] uses every available core.
 //! - [`parallel_map`] — an order-preserving parallel map over a slice with
 //!   atomic work stealing. Results come back in input order, so a
@@ -14,15 +16,15 @@
 //!   thread count.
 //! - [`derive_seed`] — counter-based RNG stream derivation (SplitMix64
 //!   finalizer). Engines derive the RNG stream of pattern block `b` as a
-//!   pure function of `(seed, b)`, which makes randomized campaigns
-//!   bit-identical at any thread count: a worker simulating block `b`
+//!   pure function of `(seed, b)`, so a worker simulating block `b`
 //!   regenerates exactly the patterns the single-threaded loop would have
 //!   drawn, regardless of which other blocks run concurrently.
+//! - [`Admission`] — the serve daemon's bounded admission gate.
 //!
-//! Determinism contract: everything built on this crate must produce
-//! bit-identical results at `--jobs 1` and `--jobs N`. [`parallel_map`]
-//! guarantees order, [`derive_seed`] guarantees patterns; callers must
-//! merge worker results in input order (never in completion order).
+//! Determinism contract: the PDF campaign produces bit-identical results
+//! at `--jobs 1` and `--jobs N`. [`parallel_map`] guarantees order,
+//! [`derive_seed`] guarantees patterns; callers must merge worker results
+//! in input order (never in completion order).
 //!
 //! # Examples
 //!
@@ -37,14 +39,13 @@
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 
 /// The number of worker threads an engine may use.
 ///
-/// `Jobs` is the workspace-wide `--jobs` knob: every parallel engine takes
-/// one and promises bit-identical results at any value. [`Jobs::serial`]
-/// (the `Default`) additionally restores the exact single-threaded
-/// execution *order* — no worker threads are spawned at all.
+/// `Jobs` is the `--jobs` knob of the two threaded paths: the PDF campaign
+/// (bit-identical results at any value) and the serve daemon's worker
+/// pool. [`Jobs::serial`] (the `Default`) spawns no worker threads at all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Jobs(NonZeroUsize);
 
@@ -113,7 +114,7 @@ impl std::str::FromStr for Jobs {
 /// Used by the campaign engines to give pattern block `b` the stream
 /// `derive_seed(seed, b)`: the patterns of a block become a pure function
 /// of the configuration seed and the block index, independent of thread
-/// count, fault-drop history and every other block.
+/// count, word width, fault-drop history and every other block.
 pub fn derive_seed(seed: u64, stream: u64) -> u64 {
     let mut z = seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -178,22 +179,20 @@ where
 /// returns `None` the caller *sheds load* (rejects the request with an
 /// explicit outcome) instead of queueing unboundedly.
 ///
-/// Permits are RAII: dropping an [`AdmissionPermit`] releases its slot and
-/// wakes one blocked [`acquire`](Self::acquire) caller. The gate is
-/// poison-tolerant — a thread that panics while holding the internal lock
+/// Permits are RAII: dropping an [`AdmissionPermit`] releases its slot.
+/// The gate is poison-tolerant — a thread that panics while holding the internal lock
 /// (impossible through this API, but cheap to defend) does not wedge
 /// admission for everyone else.
 #[derive(Debug)]
 pub struct Admission {
     capacity: usize,
     in_flight: Mutex<usize>,
-    freed: Condvar,
 }
 
 impl Admission {
     /// A gate admitting at most `capacity` concurrent holders (minimum 1).
     pub fn new(capacity: usize) -> Self {
-        Admission { capacity: capacity.max(1), in_flight: Mutex::new(0), freed: Condvar::new() }
+        Admission { capacity: capacity.max(1), in_flight: Mutex::new(0) }
     }
 
     /// The configured capacity.
@@ -221,23 +220,9 @@ impl Admission {
         Some(AdmissionPermit { gate: self })
     }
 
-    /// Blocks until a permit is free. Used by worker pools that *are* the
-    /// bounded resource; front doors should prefer
-    /// [`try_acquire`](Self::try_acquire) + shedding.
-    pub fn acquire(&self) -> AdmissionPermit<'_> {
-        let mut held = self.lock();
-        while *held >= self.capacity {
-            held = self.freed.wait(held).unwrap_or_else(|poisoned| poisoned.into_inner());
-        }
-        *held += 1;
-        AdmissionPermit { gate: self }
-    }
-
     fn release(&self) {
         let mut held = self.lock();
         *held = held.saturating_sub(1);
-        drop(held);
-        self.freed.notify_one();
     }
 }
 
@@ -334,27 +319,10 @@ mod tests {
     }
 
     #[test]
-    fn blocking_acquire_wakes_on_release() {
-        let gate = Admission::new(1);
-        let permit = gate.acquire();
-        std::thread::scope(|scope| {
-            let waiter = scope.spawn(|| {
-                let _p = gate.acquire();
-                true
-            });
-            // Give the waiter time to block, then free the slot.
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            drop(permit);
-            assert!(waiter.join().expect("waiter finishes"));
-        });
-        assert_eq!(gate.in_flight(), 0);
-    }
-
-    #[test]
     fn admission_survives_panicking_holders() {
         let gate = Admission::new(1);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _permit = gate.acquire();
+            let _permit = gate.try_acquire().expect("one slot");
             panic!("holder dies");
         }));
         assert!(result.is_err());

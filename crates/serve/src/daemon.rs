@@ -48,15 +48,13 @@ use crate::spec::{parse_spec, Chaos};
 use sft_budget::{Budget, CancelFlag};
 use sft_core::{resynthesize_with_budget, ResynthReport};
 use sft_io::{Format, WriteOptions};
-use sft_netlist::Circuit;
 use sft_par::{Admission, Jobs};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Daemon configuration. Start from [`ServeConfig::new`] and override
@@ -132,9 +130,6 @@ pub struct ServeSummary {
     /// Always 0: no cache image is loaded. Kept only because `perfbench/`
     /// still reads it.
     pub cache_loaded_entries: u64,
-    /// Job attempts whose payload parse was served from the parsed-netlist
-    /// cache (retries and repeat submissions of unchanged payloads).
-    pub parse_cache_hits: u64,
 }
 
 #[derive(Default)]
@@ -145,7 +140,6 @@ struct Counters {
     shed: AtomicU64,
     retried: AtomicU64,
     panicked: AtomicU64,
-    parse_hits: AtomicU64,
 }
 
 impl Counters {
@@ -158,15 +152,14 @@ impl Counters {
             retried: self.retried.load(Ordering::Relaxed),
             panicked: self.panicked.load(Ordering::Relaxed),
             cache_loaded_entries: 0,
-            parse_cache_hits: self.parse_hits.load(Ordering::Relaxed),
         }
     }
 
     fn stats_line(&self) -> String {
         let s = self.summary();
         format!(
-            "serve: accepted={} done={} failed={} shed={} retried={} panicked={} parse_hits={}",
-            s.accepted, s.done, s.failed, s.shed, s.retried, s.panicked, s.parse_cache_hits,
+            "serve: accepted={} done={} failed={} shed={} retried={} panicked={}",
+            s.accepted, s.done, s.failed, s.shed, s.retried, s.panicked,
         )
     }
 }
@@ -244,81 +237,6 @@ struct RetryEntry {
     eligible_at: Instant,
 }
 
-/// Parsed-netlist cache: the text/binary → arena conversion is the fixed
-/// per-attempt cost of a job, so retried attempts (and repeat submissions
-/// of an unchanged payload under the same stem) would re-run it on bytes
-/// the daemon has already parsed. The cache keys on `(format, stem,
-/// payload)` and hands each attempt a flat-copy clone of the cached arena
-/// — a memcpy of four columns — instead of a fresh parse. The stem stays
-/// in the key because `.bench`/`.lut` payloads take the circuit name from
-/// it, while Verilog/AIGER embed their own.
-struct ParseCache {
-    entries: Mutex<Vec<ParseEntry>>,
-}
-
-struct ParseEntry {
-    key: u64,
-    stem: String,
-    payload_len: usize,
-    circuit: Arc<Circuit>,
-}
-
-impl ParseCache {
-    /// Retries dominate the hit population, so a handful of entries
-    /// suffices; eviction is oldest-first.
-    const CAPACITY: usize = 16;
-
-    fn new() -> Self {
-        ParseCache { entries: Mutex::new(Vec::new()) }
-    }
-
-    fn key(format: Format, stem: &str, payload: &[u8]) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        format.extension().hash(&mut h);
-        stem.hash(&mut h);
-        payload.hash(&mut h);
-        h.finish()
-    }
-
-    /// Returns a private clone of the parsed circuit, parsing and caching
-    /// on miss. The boolean is `true` on a cache hit.
-    fn get_or_parse(
-        &self,
-        payload: &[u8],
-        format: Format,
-        stem: &str,
-    ) -> Result<(Circuit, bool), sft_io::IoError> {
-        let key = Self::key(format, stem, payload);
-        {
-            let entries = match self.entries.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            if let Some(entry) = entries
-                .iter()
-                .find(|e| e.key == key && e.stem == stem && e.payload_len == payload.len())
-            {
-                return Ok(((*entry.circuit).clone(), true));
-            }
-        }
-        let circuit = sft_io::parse_bytes(payload, format, stem)?;
-        let mut entries = match self.entries.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if entries.len() >= Self::CAPACITY {
-            entries.remove(0);
-        }
-        entries.push(ParseEntry {
-            key,
-            stem: stem.to_string(),
-            payload_len: payload.len(),
-            circuit: Arc::new(circuit.clone()),
-        });
-        Ok((circuit, false))
-    }
-}
-
 /// How a job attempt failed, and what the daemon should do about it.
 enum JobFailure {
     /// Try again after backoff (transient I/O, injected transient chaos).
@@ -334,7 +252,6 @@ struct Ctx<'a> {
     counters: &'a Counters,
     retry: &'a Mutex<HashMap<String, RetryEntry>>,
     cancel: &'a CancelFlag,
-    parsed: &'a ParseCache,
 }
 
 fn lock_retry<'a>(
@@ -446,13 +363,8 @@ fn run_attempt(
         .ok_or_else(|| JobFailure::Retryable(format!("{stem}: no payload netlist found")))?;
     let payload = std::fs::read(&payload_path)
         .map_err(|e| JobFailure::Retryable(format!("read {}: {e}", payload_path.display())))?;
-    let (mut circuit, parse_hit) = ctx
-        .parsed
-        .get_or_parse(&payload, format, stem)
+    let mut circuit = sft_io::parse_bytes(&payload, format, stem)
         .map_err(|e| JobFailure::Terminal(Outcome::Failed, e.to_string()))?;
-    if parse_hit {
-        ctx.counters.parse_hits.fetch_add(1, Ordering::Relaxed);
-    }
 
     match spec.chaos {
         Some(Chaos::Sleep(pause)) => std::thread::sleep(pause),
@@ -606,15 +518,7 @@ pub fn serve(config: &ServeConfig) -> io::Result<ServeSummary> {
     let admission = Admission::new(config.jobs.get());
     let cancel = CancelFlag::new();
     let retry: Mutex<HashMap<String, RetryEntry>> = Mutex::new(HashMap::new());
-    let parsed = ParseCache::new();
-    let ctx = Ctx {
-        dirs: &dirs,
-        config,
-        counters: &counters,
-        retry: &retry,
-        cancel: &cancel,
-        parsed: &parsed,
-    };
+    let ctx = Ctx { dirs: &dirs, config, counters: &counters, retry: &retry, cancel: &cancel };
 
     let loop_result: io::Result<()> = std::thread::scope(|scope| {
         let mut draining = false;
@@ -791,35 +695,11 @@ mod tests {
         let summary = serve(&quick_config(&root)).unwrap();
         assert_eq!(summary.done, 1);
         assert_eq!(summary.retried, 2);
-        // Attempts 2 and 3 re-enter with the same payload bytes: the parse
-        // is served from the cache, not re-run.
-        assert_eq!(summary.parse_cache_hits, 2);
         let report =
             std::fs::read_to_string(root.join("jobs").join("done").join("flaky.report.json"))
                 .unwrap();
         assert!(report.contains("\"attempts\":3"), "{report}");
         std::fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn parse_cache_serves_clones_not_shared_state() {
-        // Two hits on the same entry must hand out independent circuits:
-        // the engine mutates its copy in place, so a shared arena would
-        // corrupt the cached original.
-        let cache = ParseCache::new();
-        let (mut first, hit1) = cache.get_or_parse(TINY.as_bytes(), Format::Bench, "t").unwrap();
-        assert!(!hit1);
-        let before = first.len();
-        let a = first.inputs()[0];
-        first.add_output(a, "extra");
-        let (second, hit2) = cache.get_or_parse(TINY.as_bytes(), Format::Bench, "t").unwrap();
-        assert!(hit2);
-        assert_eq!(second.len(), before);
-        assert_eq!(second.outputs().len() + 1, first.outputs().len());
-        // A different stem is a different circuit name for .bench payloads,
-        // so it must miss.
-        let (_, hit3) = cache.get_or_parse(TINY.as_bytes(), Format::Bench, "other").unwrap();
-        assert!(!hit3);
     }
 
     #[test]

@@ -16,7 +16,6 @@
 //! so nothing in this module panics on any input.
 
 use sft_core::{Objective, ResynthOptions};
-use sft_par::Jobs;
 use std::fmt;
 use std::time::Duration;
 
@@ -70,19 +69,15 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// The resynthesis options this request asks for.
-    ///
-    /// Per-job cone scoring is always **serial**: the daemon's parallelism
-    /// is across jobs (the admission gate), and serial scoring keeps every
-    /// job's output independent of the worker count even when the job
-    /// carries a step budget.
+    /// The resynthesis options this request asks for. Each job runs on one
+    /// worker thread; the daemon's parallelism is across jobs (the
+    /// admission gate).
     pub fn resynth_options(&self) -> ResynthOptions {
         let defaults = ResynthOptions::default();
         ResynthOptions {
             objective: self.objective.unwrap_or_default(),
             max_inputs: self.max_inputs.unwrap_or(defaults.max_inputs),
             max_passes: self.max_passes.unwrap_or(defaults.max_passes),
-            jobs: Jobs::serial(),
             ..defaults
         }
     }
@@ -199,7 +194,6 @@ mod tests {
         assert_eq!(spec, JobSpec::default());
         let opts = spec.resynth_options();
         assert_eq!(opts.objective, Objective::Gates);
-        assert!(opts.jobs.is_serial());
     }
 
     #[test]

@@ -1,19 +1,9 @@
 //! Random-pattern testability campaigns (the Table 6 experiment).
 //!
-//! Campaigns are **thread-parallel and bit-deterministic**: the pattern
-//! words of block `b` are a pure function of `(seed, b)` (counter-based
-//! stream derivation, [`pattern_block`]), and each wide stride sweeps its
-//! blocks once for every live fault with the fault list sliced
-//! *contiguously* across up to [`CampaignConfig::jobs`] workers. The
-//! per-slice detection masks concatenate back in fault order, so the
-//! stride's masks are exactly the single-simulator masks and the merged
-//! result is structurally bit-identical at any thread count. Fault
-//! dropping happens globally after every stride — no worker re-simulates a
-//! fault another slice already killed, which is what lets the parallel
-//! run do the *same total work* as the serial one. `jobs: Jobs::serial()`
-//! runs everything inline with zero spawned threads, and a stride whose
-//! estimated work is below [`CampaignConfig::parallel_grain`] runs inline
-//! too instead of paying thread-spawn latency.
+//! Campaigns are serial and seed-deterministic: the pattern words of block
+//! `b` are a pure function of `(seed, b)` (counter-based stream
+//! derivation, [`pattern_block`]), and each wide stride sweeps its blocks
+//! once for every live fault, dropping detected faults after every stride.
 //!
 //! Each sweep carries a [`W256`] word: four consecutive 64-pattern blocks
 //! per pass, lane `l` carrying exactly block `base + l` of the seeded
@@ -21,14 +11,13 @@
 //! detection indices, effective-pattern statistics and plateau stops are
 //! exactly those of a 64-pattern-at-a-time loop.
 
-use crate::fsim::{FaultSimTables, WideFaultSim};
+use crate::fsim::WideFaultSim;
 use crate::word::{SimWord, W256};
 use crate::Fault;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sft_netlist::Circuit;
-use sft_par::{derive_seed, parallel_map, Jobs};
-use std::sync::{Arc, Mutex};
+use sft_par::derive_seed;
 
 /// Configuration of a random-pattern campaign.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,28 +30,11 @@ pub struct CampaignConfig {
     /// RNG seed; equal seeds give identical pattern sequences, which is how
     /// the before/after comparisons of Tables 6 and 7 are made fair.
     pub seed: u64,
-    /// Worker threads simulating pattern blocks concurrently. Results are
-    /// bit-identical at any value; [`Jobs::serial`] (the default) spawns no
-    /// threads at all.
-    pub jobs: Jobs,
-    /// Estimated node evaluations (`alive faults × circuit nodes × blocks`)
-    /// below which a stride runs inline on the calling thread instead of
-    /// slicing its fault list across workers. Near saturation a stride
-    /// costs microseconds and a thread spawn would dominate, so the grain
-    /// keeps the tail of a campaign serial. Results are bit-identical at
-    /// any value; `0` forces slicing whenever `jobs` allows it.
-    pub parallel_grain: u64,
 }
 
 impl Default for CampaignConfig {
     fn default() -> Self {
-        CampaignConfig {
-            max_patterns: 1 << 16,
-            plateau: 0,
-            seed: 0x5f7,
-            jobs: Jobs::serial(),
-            parallel_grain: 2_000_000,
-        }
+        CampaignConfig { max_patterns: 1 << 16, plateau: 0, seed: 0x5f7 }
     }
 }
 
@@ -123,9 +95,8 @@ impl CampaignResult {
 ///
 /// Every engine that applies seeded random pattern blocks (the stuck-at
 /// campaign here, the random phase of test-set generation) derives block
-/// words through this function, so any worker — on any thread, at any word
-/// width, in any order — regenerates exactly the block the single-threaded
-/// 64-bit loop would have drawn.
+/// words through this function, so a sweep at any word width regenerates
+/// exactly the block the 64-bit loop would have drawn.
 pub fn pattern_block(seed: u64, block: u64, num_inputs: usize) -> Vec<u64> {
     let mut rng = StdRng::seed_from_u64(derive_seed(seed, block));
     (0..num_inputs).map(|_| rng.gen()).collect()
@@ -161,30 +132,12 @@ fn detect_stride(
 /// per block shrinks as coverage saturates. One topological sweep carries
 /// four blocks ([`W256`]).
 ///
-/// With `config.jobs > 1`, every stride's live-fault list is sliced
-/// contiguously across up to `jobs` workers (each worker slot keeps a
-/// persistent [`WideFaultSim`] sharing precomputed [`FaultSimTables`]), and
-/// the per-slice masks concatenate back in fault order — exactly the
-/// single-simulator masks. The result — including every detection index,
-/// the effective-pattern statistic and the plateau-rule stopping point —
-/// is therefore **bit-identical** to the serial run, and the
-/// parallel run does the same total fault work as the serial one (faults
-/// drop globally after every stride). Strides whose estimated work falls
-/// under [`CampaignConfig::parallel_grain`] run inline.
-///
 /// # Panics
 ///
 /// Panics if the circuit is cyclic.
 pub fn campaign(circuit: &Circuit, faults: &[Fault], config: &CampaignConfig) -> CampaignResult {
     let num_inputs = circuit.inputs().len();
-    let tables = FaultSimTables::snapshot(circuit);
-    // One simulator for inline strides plus one per worker slot for sliced
-    // strides, all created lazily and kept alive for the whole campaign —
-    // the O(nodes) scratch buffers are the expensive part of simulator
-    // setup. Each parallel work item locks the simulator of its own slice
-    // index, so the locks are never contended.
-    let mut inline_fsim: Option<WideFaultSim<W256>> = None;
-    let mut worker_fsims: Vec<Mutex<WideFaultSim<W256>>> = Vec::new();
+    let mut fsim = WideFaultSim::<W256>::new(circuit);
     let lanes = W256::LANES as u64;
 
     let mut detection: Vec<Option<u64>> = vec![None; faults.len()];
@@ -211,35 +164,7 @@ pub fn campaign(circuit: &Circuit, faults: &[Fault], config: &CampaignConfig) ->
             })
             .collect();
         let ids: Vec<u64> = blocks.iter().map(|&(b, _, _)| b).collect();
-        // Fault-parallel slicing: every worker sweeps the same stride over
-        // its own contiguous slice of the fault list, so the concatenated
-        // masks are exactly the single-simulator masks and the schedule can
-        // never change the result. Contiguous slices also keep the faults
-        // of one fanout-free region in one worker, preserving the shared
-        // observability cache. Strides estimated below the grain run
-        // inline — near saturation a stride costs microseconds and a
-        // thread spawn would dominate.
-        let stride_cost =
-            (alive.len() as u64).saturating_mul(circuit.len() as u64).saturating_mul(chunk.max(1));
-        let workers = config.jobs.get().min(alive_faults.len());
-        let masks: Vec<W256> =
-            if config.jobs.is_serial() || workers <= 1 || stride_cost <= config.parallel_grain {
-                let fsim = inline_fsim
-                    .get_or_insert_with(|| WideFaultSim::with_tables(Arc::clone(&tables)));
-                detect_stride(fsim, &alive_faults, config.seed, &ids, num_inputs)
-            } else {
-                while worker_fsims.len() < workers {
-                    worker_fsims.push(Mutex::new(WideFaultSim::with_tables(Arc::clone(&tables))));
-                }
-                let per = alive_faults.len().div_ceil(workers);
-                let slices: Vec<&[Fault]> = alive_faults.chunks(per).collect();
-                let per_slice: Vec<Vec<W256>> = parallel_map(config.jobs, &slices, |si, slice| {
-                    let mut fsim = worker_fsims[si].lock().expect("worker simulators never panic");
-                    detect_stride(&mut fsim, slice, config.seed, &ids, num_inputs)
-                });
-                // Contiguous slices concatenate back in fault order.
-                per_slice.into_iter().flatten().collect()
-            };
+        let masks = detect_stride(&mut fsim, &alive_faults, config.seed, &ids, num_inputs);
         // Merge strictly in block (lane) order. Faults detected by an
         // earlier block of this stride are skipped in later blocks (their
         // slot in `detection` is already set), reproducing the serial drop
@@ -309,7 +234,7 @@ INPUT(1)\nINPUT(2)\nINPUT(3)\nINPUT(6)\nINPUT(7)\nOUTPUT(22)\nOUTPUT(23)\n\
 22 = NAND(10, 16)\n23 = NAND(16, 19)\n";
 
     fn cfg(max_patterns: u64, plateau: u64, seed: u64) -> CampaignConfig {
-        CampaignConfig { max_patterns, plateau, seed, ..CampaignConfig::default() }
+        CampaignConfig { max_patterns, plateau, seed }
     }
 
     #[test]
@@ -329,50 +254,6 @@ INPUT(1)\nINPUT(2)\nINPUT(3)\nINPUT(6)\nINPUT(7)\nOUTPUT(22)\nOUTPUT(23)\n\
         let a = campaign(&c, &faults, &cfg(512, 0, 42));
         let b = campaign(&c, &faults, &cfg(512, 0, 42));
         assert_eq!(a, b);
-    }
-
-    /// The determinism regression the `--jobs` contract promises: any
-    /// thread count produces the bit-identical campaign result — same
-    /// detection indices, same effective-pattern statistic, same
-    /// plateau-rule stopping point.
-    #[test]
-    fn thread_count_does_not_change_results() {
-        // A circuit large enough that blocks matter, with redundant faults
-        // so the alive list never empties, plus plateau configurations so
-        // the early-stop arithmetic is exercised.
-        let c = sft_circuits::random::random_circuit(&sft_circuits::random::RandomCircuitConfig {
-            inputs: 10,
-            outputs: 5,
-            gates: 60,
-            window: 16,
-            seed: 7,
-        });
-        let faults = fault_list(&c);
-        for (max_patterns, plateau) in [(2048, 0), (1 << 14, 256), (100, 0)] {
-            let serial = campaign(&c, &faults, &cfg(max_patterns, plateau, 9));
-            for jobs in [2, 3, 4, 8] {
-                // grain 0 forces one-stride work items (maximal interleaving
-                // of the merge), the default exercises grouped items, and
-                // the huge grain forces the inline remainder path.
-                for grain in [0, CampaignConfig::default().parallel_grain, u64::MAX] {
-                    let par = campaign(
-                        &c,
-                        &faults,
-                        &CampaignConfig {
-                            max_patterns,
-                            plateau,
-                            seed: 9,
-                            jobs: Jobs::new(jobs),
-                            parallel_grain: grain,
-                        },
-                    );
-                    assert_eq!(
-                        serial, par,
-                        "jobs={jobs} grain={grain} max={max_patterns} plateau={plateau}"
-                    );
-                }
-            }
-        }
     }
 
     /// The loop a four-block sweep must reproduce: one `u64` block at a
@@ -412,7 +293,7 @@ INPUT(1)\nINPUT(2)\nINPUT(3)\nINPUT(6)\nINPUT(7)\nOUTPUT(22)\nOUTPUT(23)\n\
 
     /// Sweeping four blocks per pass changes nothing: detection indices,
     /// the effective-pattern statistic and the plateau stop (which may land
-    /// mid-stride) equal the block-at-a-time loop, serial and parallel.
+    /// mid-stride) equal the block-at-a-time loop.
     #[test]
     fn wide_sweeps_match_block_at_a_time_loop() {
         let c = sft_circuits::random::random_circuit(&sft_circuits::random::RandomCircuitConfig {
@@ -425,14 +306,8 @@ INPUT(1)\nINPUT(2)\nINPUT(3)\nINPUT(6)\nINPUT(7)\nOUTPUT(22)\nOUTPUT(23)\n\
         let faults = fault_list(&c);
         for (max_patterns, plateau) in [(1000, 0), (1 << 14, 300), (130, 0)] {
             let reference = block_at_a_time(&c, &faults, &cfg(max_patterns, plateau, 13));
-            for jobs in [Jobs::serial(), Jobs::new(4)] {
-                let r = campaign(
-                    &c,
-                    &faults,
-                    &CampaignConfig { jobs, ..cfg(max_patterns, plateau, 13) },
-                );
-                assert_eq!(reference, r, "jobs={jobs:?} max={max_patterns} plateau={plateau}");
-            }
+            let r = campaign(&c, &faults, &cfg(max_patterns, plateau, 13));
+            assert_eq!(reference, r, "max={max_patterns} plateau={plateau}");
         }
     }
 
@@ -463,24 +338,8 @@ INPUT(1)\nINPUT(2)\nINPUT(3)\nINPUT(6)\nINPUT(7)\nOUTPUT(22)\nOUTPUT(23)\n\
         let c = parse(src, "abs").unwrap();
         let faults = fault_list(&c);
         for max_patterns in [u64::MAX, u64::MAX - 37] {
-            let serial = campaign(
-                &c,
-                &faults,
-                &CampaignConfig { max_patterns, plateau: 192, seed: 3, ..Default::default() },
-            );
-            assert!(serial.patterns_applied < 1 << 20, "plateau must stop the run");
-            let par = campaign(
-                &c,
-                &faults,
-                &CampaignConfig {
-                    max_patterns,
-                    plateau: 192,
-                    seed: 3,
-                    jobs: Jobs::new(4),
-                    parallel_grain: 0,
-                },
-            );
-            assert_eq!(serial, par, "max_patterns={max_patterns}");
+            let r = campaign(&c, &faults, &cfg(max_patterns, 192, 3));
+            assert!(r.patterns_applied < 1 << 20, "plateau must stop the run");
         }
     }
 
@@ -515,29 +374,15 @@ INPUT(1)\nINPUT(2)\nINPUT(3)\nINPUT(6)\nINPUT(7)\nOUTPUT(22)\nOUTPUT(23)\n\
     }
 
     /// A tail block shorter than 64 patterns must mask detections past the
-    /// configured maximum identically at any thread count.
+    /// configured maximum.
     #[test]
     fn tail_block_masked_consistently() {
         let c = parse(C17, "c17").unwrap();
         let faults = fault_list(&c);
         for max in [1, 63, 65, 130] {
-            let serial = campaign(&c, &faults, &cfg(max, 0, 11));
-            // grain 0 keeps every stride its own work item so the tail
-            // block really crosses the parallel merge.
-            let par = campaign(
-                &c,
-                &faults,
-                &CampaignConfig {
-                    max_patterns: max,
-                    plateau: 0,
-                    seed: 11,
-                    jobs: Jobs::new(4),
-                    parallel_grain: 0,
-                },
-            );
-            assert_eq!(serial, par, "max_patterns={max}");
-            assert!(serial.patterns_applied <= max);
-            assert!(serial.detection_pattern.iter().flatten().all(|&p| p < max));
+            let r = campaign(&c, &faults, &cfg(max, 0, 11));
+            assert!(r.patterns_applied <= max);
+            assert!(r.detection_pattern.iter().flatten().all(|&p| p < max));
         }
     }
 }

@@ -30,11 +30,10 @@ use std::sync::Arc;
 /// the struct-of-arrays circuit snapshot (packed kinds, flat fanin/fanout
 /// slabs, topological order, FFR links).
 ///
-/// Building these is the expensive part of [`FaultSim::new`]. Parallel
-/// fault-simulation shards (see [`campaign`](crate::campaign)) build the
-/// tables once and hand each worker a cheap clone of the [`Arc`] via
-/// [`WideFaultSim::with_tables`], so per-worker setup is reduced to scratch
-/// allocation.
+/// Building these is the expensive part of [`FaultSim::new`]. Callers that
+/// need several simulators of one circuit build the tables once and hand
+/// each a cheap clone of the [`Arc`] via [`WideFaultSim::with_tables`], so
+/// per-simulator setup is reduced to scratch allocation.
 #[derive(Debug)]
 pub struct FaultSimTables {
     pub(crate) soa: SoaCircuit,
@@ -296,8 +295,7 @@ impl<'c> FaultSim<'c> {
     /// Prepares a fault simulator reusing already-built [`FaultSimTables`].
     ///
     /// The tables must have been built from the same (unmodified)
-    /// `circuit`; sharing them across threads is what makes per-shard
-    /// simulator setup cheap in parallel campaigns.
+    /// `circuit`; sharing them is what makes a second simulator cheap.
     pub fn with_tables(circuit: &'c Circuit, tables: Arc<FaultSimTables>) -> Self {
         assert_eq!(tables.soa.len(), circuit.len(), "tables were built from a different circuit");
         FaultSim { inner: WideFaultSim::with_tables(tables), _circuit: PhantomData }

@@ -12,7 +12,7 @@
 //!   per fanout-free region resolves every fault inside it, and stem
 //!   observability is gated at immediate dominators and cached per block,
 //!   so faults sharing a stem share one propagation ([`FaultSimTables`]
-//!   holds the read-only [`SoaCircuit`] precomputation so concurrent
+//!   holds the read-only [`SoaCircuit`] precomputation so several
 //!   simulators share one copy). A brute-force faulty-machine oracle in
 //!   the crate's tests pins the masks fault by fault and pattern by
 //!   pattern;
@@ -20,10 +20,9 @@
 //!   sweep) or the auto-vectorizable 256-bit block [`W256`];
 //! - [`campaign`] — the random-pattern testability experiment driver used by
 //!   Table 6 of the paper (fault coverage, remaining faults, last effective
-//!   pattern). Campaigns sweep four pattern blocks at a time on
-//!   [`CampaignConfig::jobs`] worker threads with bit-identical results at
-//!   any thread count ([`pattern_block`] derives each block's patterns
-//!   purely from `(seed, block)`).
+//!   pattern). Campaigns run serially and sweep four pattern blocks at a
+//!   time ([`pattern_block`] derives each block's patterns purely from
+//!   `(seed, block)`).
 //!
 //! # Examples
 //!

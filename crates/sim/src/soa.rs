@@ -163,7 +163,7 @@ fn flat_topo_order(n: usize, fanin_off: &[u32], fanins: &[u32]) -> (Vec<u32>, Ve
 }
 
 /// A flat, read-only struct-of-arrays snapshot of a [`Circuit`], built once
-/// per campaign and shared (behind an `Arc`) by every simulation worker.
+/// per campaign and shared (behind an `Arc`) by every simulator of it.
 ///
 /// Beyond the evaluation slabs it carries the fanout-free-region (FFR)
 /// structure: `ffr_head[n]` is the unique consumer of `n` when `n` has

@@ -35,11 +35,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Stuck-at random-pattern testability at equal budget & seed (Table 6).
     let stuck = |c: &Circuit| {
         let faults = fault_list(c);
-        let r = campaign(
-            c,
-            &faults,
-            &CampaignConfig { max_patterns: 1 << 14, plateau: 0, seed: 11, ..Default::default() },
-        );
+        let r =
+            campaign(c, &faults, &CampaignConfig { max_patterns: 1 << 14, plateau: 0, seed: 11 });
         (r.total_faults, r.remaining(), r.coverage())
     };
     let (fo, ro, co) = stuck(&original);

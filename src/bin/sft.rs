@@ -35,10 +35,9 @@
 //! bound the run. An exhausted budget is not an error: the command prints
 //! the stop reason, writes the best verified partial result, and exits 0.
 //!
-//! Parallelism (resynth, testgen, pdf): `--jobs N` runs the hot loops on
-//! `N` worker threads (`0` or `all` = every core; default 1, the exact
-//! single-threaded order, which beat 2 threads on a 2-core machine).
-//! Results are bit-identical at any value.
+//! Parallelism (pdf only): `--jobs N` simulates pattern-pair blocks on `N`
+//! worker threads (`0` or `all` = every core; default 1). Results are
+//! bit-identical at any value. Every other command runs on one thread.
 //!
 //! Fault simulation (testgen) resolves detections by critical-path tracing
 //! inside fanout-free regions with dominator-gated stem observability.
@@ -129,6 +128,15 @@ const VALUE_OPTIONS: &[&str] = &[
     "--lut-k",
 ];
 
+/// The value of option `name`, or `None` without it. The option given
+/// without a value is an error.
+fn value(args: &[String], name: &str) -> Result<Option<String>, String> {
+    match (flag(args, name), opt(args, name)) {
+        (true, None) => Err(format!("{name} needs a value")),
+        (_, v) => Ok(v),
+    }
+}
+
 /// Parses the value of the numeric option `name` (a count, or `--jobs`),
 /// or returns `default` without it. A missing or unparsable value is an
 /// error.
@@ -137,10 +145,9 @@ where
     T: std::str::FromStr,
     T::Err: std::fmt::Display,
 {
-    match (flag(args, name), opt(args, name)) {
-        (true, None) => Err(format!("{name} needs a value")),
-        (_, Some(v)) => v.parse().map_err(|e| format!("{name} {v:?}: {e}")),
-        _ => Ok(default),
+    match value(args, name)? {
+        Some(v) => v.parse().map_err(|e| format!("{name} {v:?}: {e}")),
+        None => Ok(default),
     }
 }
 
@@ -185,21 +192,19 @@ fn parse_duration(text: &str) -> Result<Duration, String> {
     Ok(Duration::from_secs_f64(seconds))
 }
 
+/// Parses a `--step-limit` value.
+fn step_limit(text: &str) -> Result<u64, String> {
+    text.parse().map_err(|_| format!("bad step limit {text:?}"))
+}
+
 /// Builds the effort budget from `--time-limit` / `--step-limit`.
 fn budget_from(args: &[String]) -> Result<Budget, String> {
     let mut budget = Budget::unlimited();
-    match (flag(args, "--time-limit"), opt(args, "--time-limit")) {
-        (true, None) => return Err("--time-limit needs a value (e.g. 10s)".into()),
-        (_, Some(limit)) => budget = budget.with_time_limit(parse_duration(&limit)?),
-        _ => {}
+    if let Some(limit) = value(args, "--time-limit")? {
+        budget = budget.with_time_limit(parse_duration(&limit)?);
     }
-    match (flag(args, "--step-limit"), opt(args, "--step-limit")) {
-        (true, None) => return Err("--step-limit needs a value".into()),
-        (_, Some(limit)) => {
-            let steps: u64 = limit.parse().map_err(|_| format!("bad step limit {limit:?}"))?;
-            budget = budget.with_step_limit(steps);
-        }
-        _ => {}
+    if let Some(limit) = value(args, "--step-limit")? {
+        budget = budget.with_step_limit(step_limit(&limit)?);
     }
     Ok(budget)
 }
@@ -255,7 +260,6 @@ fn run() -> Result<(), String> {
                 allow_input_negation: flag(rest, "--negation"),
                 max_cover_units: num(rest, "--covers", 1)?,
                 use_satisfiability_dont_cares: flag(rest, "--dont-cares"),
-                jobs: num(rest, "--jobs", Jobs::serial())?,
                 ..ResynthOptions::default()
             };
             let budget = budget_from(rest)?;
@@ -281,9 +285,7 @@ fn run() -> Result<(), String> {
             let files = positionals(rest);
             let c = load(files.first().ok_or("testgen needs an input file")?, rest)?;
             let budget = budget_from(rest)?;
-            let jobs = num(rest, "--jobs", Jobs::serial())?;
-            let opts = TestSetOptions { jobs, ..TestSetOptions::default() };
-            let set = generate_test_set_with_budget(&c, &opts, &budget);
+            let set = generate_test_set_with_budget(&c, &TestSetOptions::default(), &budget);
             println!(
                 "# {} faults, {} redundant, {} aborted, {} untargeted, coverage {:.2}%",
                 set.total_faults,
@@ -411,18 +413,17 @@ fn run() -> Result<(), String> {
             config.jobs = num(rest, "--jobs", config.jobs)?;
             config.once = flag(rest, "--once");
             config.queue = num(rest, "--queue", config.queue)?;
-            if let Some(limit) = opt(rest, "--time-limit") {
+            if let Some(limit) = value(rest, "--time-limit")? {
                 config.default_time_limit = Some(parse_duration(&limit)?);
             }
-            if let Some(limit) = opt(rest, "--step-limit") {
-                let steps: u64 = limit.parse().map_err(|_| format!("bad step limit {limit:?}"))?;
-                config.default_step_limit = Some(steps);
+            if let Some(limit) = value(rest, "--step-limit")? {
+                config.default_step_limit = Some(step_limit(&limit)?);
             }
             config.max_attempts = num(rest, "--max-attempts", config.max_attempts)?;
             if config.max_attempts == 0 {
                 return Err("--max-attempts must be at least 1".into());
             }
-            if let Some(period) = opt(rest, "--stats-every") {
+            if let Some(period) = value(rest, "--stats-every")? {
                 config.stats_every = parse_duration(&period)?;
             }
             sft::serve::serve(&config).map_err(|e| e.to_string())?;

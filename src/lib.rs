@@ -75,9 +75,10 @@ pub use sft_circuits as circuits;
 /// workspace-wide [`StopReason`](sft_budget::StopReason) vocabulary.
 pub use sft_budget as budget;
 
-/// Fork-join parallelism: the [`Jobs`](sft_par::Jobs) thread-count knob,
-/// order-preserving [`parallel_map`](sft_par::parallel_map), admission
-/// control, and counter-based RNG stream derivation.
+/// Fork-join parallelism for the two threaded paths (PDF pattern-pair
+/// blocks and the serve daemon's workers): the [`Jobs`](sft_par::Jobs)
+/// thread-count knob, an order-preserving map, admission control, and
+/// counter-based RNG stream derivation.
 pub use sft_par as par;
 
 /// Multi-format circuit I/O behind one [`Format`](sft_io::Format)-dispatched

@@ -2,8 +2,8 @@
 //! edit rollback and the serve daemon decide on fixed inputs.
 //!
 //! Each test is one table. A row names a circuit and the values the engines
-//! must reproduce for it on every machine and at every thread count; the
-//! comment above a table names its columns. Timing lives in `perfbench/`
+//! must reproduce for it on every machine; the comment above a table names
+//! its columns. Timing lives in `perfbench/`
 //! (median of interleaved rounds). A change that moves a value here changes
 //! what the program computes, and the new value belongs in this file
 //! together with the reason.
@@ -19,7 +19,6 @@ use sft::sim::{
     campaign, collapse, fault_list, CampaignConfig, CampaignResult, Fault, FaultSite, SoaCircuit,
 };
 use std::collections::BTreeMap;
-use std::fmt::Debug;
 use std::path::Path;
 use std::time::Duration;
 
@@ -32,26 +31,9 @@ fn suite_named<T>(pins: &[(&str, T)]) -> Vec<SuiteEntry> {
     entries
 }
 
-/// Runs `run` serially and on two threads, asserts the `--jobs` contract
-/// (equal results), and returns the serial result.
-fn serial_equals_two_threads<T: PartialEq + Debug>(name: &str, run: impl Fn(Jobs) -> T) -> T {
-    let serial = run(Jobs::serial());
-    assert_eq!(serial, run(Jobs::new(2)), "{name}: result must not depend on the thread count");
-    serial
-}
-
-/// A random-pattern campaign with no plateau stop, at one and two threads.
-fn seeded_campaign(
-    name: &str,
-    c: &Circuit,
-    faults: &[Fault],
-    max_patterns: u64,
-    seed: u64,
-) -> CampaignResult {
-    serial_equals_two_threads(name, |jobs| {
-        let cfg = CampaignConfig { max_patterns, plateau: 0, seed, jobs, ..Default::default() };
-        campaign(c, faults, &cfg)
-    })
+/// A random-pattern campaign with no plateau stop.
+fn seeded_campaign(c: &Circuit, faults: &[Fault], max_patterns: u64, seed: u64) -> CampaignResult {
+    campaign(c, faults, &CampaignConfig { max_patterns, plateau: 0, seed })
 }
 
 /// The sliding-window DAG of the scale and arena rows: shallow enough
@@ -78,14 +60,12 @@ fn resynthesis_decisions_are_pinned() {
         ("irs_f", (189, 189, 190, 190, 0)),
     ];
     for (entry, (name, pin)) in suite_named(&pins).iter().zip(pins) {
-        let decided = serial_equals_two_threads(name, |jobs| {
-            let mut c = entry.circuit.clone();
-            let opts = ResynthOptions { max_candidates_per_gate: 60, jobs, ..Default::default() };
-            let r = procedure2(&mut c, &opts).expect("resynthesis verifies");
-            let paths = (r.paths_before.value(), r.paths_after.value());
-            (c, (r.gates_before, r.gates_after, paths.0, paths.1, r.replacements))
-        });
-        assert_eq!(decided.1, pin, "{name}: resynthesis decisions drifted");
+        let mut c = entry.circuit.clone();
+        let opts = ResynthOptions { max_candidates_per_gate: 60, ..Default::default() };
+        let r = procedure2(&mut c, &opts).expect("resynthesis verifies");
+        let paths = (r.paths_before.value(), r.paths_after.value());
+        let decided = (r.gates_before, r.gates_after, paths.0, paths.1, r.replacements);
+        assert_eq!(decided, pin, "{name}: resynthesis decisions drifted");
     }
 }
 
@@ -101,7 +81,7 @@ fn campaign_decisions_are_pinned() {
     for (entry, (name, pin)) in suite_named(&pins).iter().zip(pins) {
         let c = &entry.circuit;
         let faults = fault_list(c);
-        let r = seeded_campaign(name, c, &faults, 4096, 0x5f7);
+        let r = seeded_campaign(c, &faults, 4096, 0x5f7);
         let decided = (
             c.two_input_gate_count(),
             c.path_count(),
@@ -128,7 +108,7 @@ fn scale_campaign_decisions_are_pinned() {
     ];
     for (name, c, patterns, pin) in pins {
         let faults = fault_list(&c);
-        let r = seeded_campaign(name, &c, &faults, patterns, 0x5ca1e);
+        let r = seeded_campaign(&c, &faults, patterns, 0x5ca1e);
         let soa = SoaCircuit::new(&c);
         let site = |site: FaultSite| match site {
             FaultSite::Stem(n) => n.index(),

@@ -56,12 +56,7 @@ fn stuck_at_testability_does_not_deteriorate() {
     remove_redundancies(&mut modified, 20_000);
     let run = |c: &Circuit| {
         let faults = fault_list(c);
-        campaign(
-            c,
-            &faults,
-            &CampaignConfig { max_patterns: 4096, plateau: 0, seed: 5, ..Default::default() },
-        )
-        .coverage()
+        campaign(c, &faults, &CampaignConfig { max_patterns: 4096, plateau: 0, seed: 5 }).coverage()
     };
     let before = run(&original);
     let after = run(&modified);

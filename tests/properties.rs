@@ -6,12 +6,11 @@ use sft::core::testability::{unit_test_set, validate_test_set};
 use sft::core::{build_standalone_unit, identify, ComparisonSpec, IdentifyOptions};
 use sft::core::{procedure2, procedure3, resynthesize_with_budget, ResynthOptions};
 use sft::netlist::{simplify, Circuit, GateKind, NodeId};
-use sft::par::Jobs;
 use sft::truth::TruthTable;
 
-/// The resynthesis options used by the parallel/budget property tests.
-fn resynth_opts(jobs: Jobs) -> ResynthOptions {
-    ResynthOptions { max_candidates_per_gate: 40, jobs, ..ResynthOptions::default() }
+/// The resynthesis options used by the budget property tests.
+fn resynth_opts() -> ResynthOptions {
+    ResynthOptions { max_candidates_per_gate: 40, ..ResynthOptions::default() }
 }
 
 /// Strategy: a random small combinational circuit over `n` inputs.
@@ -194,75 +193,55 @@ proptest! {
         }
     }
 
-    /// Parallel candidate scoring is a pure refactoring: at any thread
-    /// count, `resynthesize_with_budget` on an unlimited budget produces a
-    /// circuit *identical* to the serial run, with identical step
-    /// accounting (the shared step counter decrements by exactly the same
-    /// amount, races included, because the counter never nears zero).
+    /// A step budget bounds resynthesis exactly: one step per scored
+    /// candidate, no overshoot. A run whose limit exceeds the steps an
+    /// unconstrained run consumes converges to the same circuit with the
+    /// difference left over; any smaller limit stops with `StepBudget`,
+    /// drains the counter to 0, and rolls back transactionally to a
+    /// verified, function-preserving circuit. A limit of exactly the total
+    /// drains the counter too, and finishes only if nothing checks the
+    /// budget after the last scoring. Besides the random limit, every case
+    /// runs the three limits around the total.
     #[test]
-    fn parallel_resynth_matches_serial(c in arb_circuit(5, 14), jobs in 2usize..6) {
-        const BIG: u64 = 1 << 40;
-        let serial_budget = Budget::unlimited().with_step_limit(BIG);
-        let mut serial = c.clone();
-        let serial_report =
-            resynthesize_with_budget(&mut serial, &resynth_opts(Jobs::serial()), &serial_budget)
-                .expect("serial resynthesis");
-        let par_budget = Budget::unlimited().with_step_limit(BIG);
-        let mut par = c.clone();
-        let par_report =
-            resynthesize_with_budget(&mut par, &resynth_opts(Jobs::new(jobs)), &par_budget)
-                .expect("parallel resynthesis");
-        prop_assert_eq!(&par, &serial);
-        prop_assert_eq!(par_report.replacements, serial_report.replacements);
-        prop_assert_eq!(par_report.stop_reason, serial_report.stop_reason);
-        prop_assert_eq!(par_budget.remaining_steps(), serial_budget.remaining_steps());
-    }
-
-    /// Under a step budget, a parallel run stops with `StepBudget`, rolls
-    /// back transactionally to a BDD-equivalent circuit, and overshoots the
-    /// limit by at most `jobs - 1` candidate evaluations (one in-flight
-    /// worker per extra thread may pass the non-consuming `check` before
-    /// the counter drains).
-    #[test]
-    fn parallel_resynth_respects_step_budget(
-        c in arb_circuit(5, 14),
-        limit in 1u64..40,
-        jobs in 2usize..6,
-    ) {
+    fn resynth_step_budget_is_exact(c in arb_circuit(5, 14), limit in 1u64..40) {
         // Total work of an unconstrained run, measured on the same input.
         const BIG: u64 = 1 << 40;
         let full = Budget::unlimited().with_step_limit(BIG);
-        let mut scratch = c.clone();
-        resynthesize_with_budget(&mut scratch, &resynth_opts(Jobs::new(jobs)), &full)
+        let mut unconstrained = c.clone();
+        resynthesize_with_budget(&mut unconstrained, &resynth_opts(), &full)
             .expect("unconstrained resynthesis");
         let total_work = BIG - full.remaining_steps().expect("step-limited");
 
-        let budget = Budget::unlimited().with_step_limit(limit);
-        let mut work = c.clone();
-        let report = resynthesize_with_budget(&mut work, &resynth_opts(Jobs::new(jobs)), &budget)
-            .expect("budgeted resynthesis");
-        // Whatever happened, the result is verified equivalent.
-        prop_assert_eq!(exhaustive_outputs(&work), exhaustive_outputs(&c));
-        work.validate().expect("budgeted result validates");
-        if limit >= total_work + jobs as u64 {
-            // Enough budget even in the worst overshoot case: must finish.
-            prop_assert_eq!(report.stop_reason, StopReason::Converged);
-        } else if report.stop_reason == StopReason::StepBudget {
-            // Interrupted mid-search: the pass rolled back, so the circuit
-            // equals a committed (verified) state and the counter drained.
-            prop_assert_eq!(budget.remaining_steps(), Some(0));
+        for limit in [limit, total_work.saturating_sub(1), total_work, total_work + 1] {
+            let budget = Budget::unlimited().with_step_limit(limit);
+            let mut work = c.clone();
+            let report = resynthesize_with_budget(&mut work, &resynth_opts(), &budget)
+                .expect("budgeted resynthesis");
+            // Whatever happened, the result is verified equivalent.
+            prop_assert_eq!(exhaustive_outputs(&work), exhaustive_outputs(&c));
+            work.validate().expect("budgeted result validates");
+            if limit > total_work {
+                prop_assert_eq!(report.stop_reason, StopReason::Converged);
+                prop_assert_eq!(&work, &unconstrained);
+                prop_assert_eq!(budget.remaining_steps(), Some(limit - total_work));
+            } else {
+                prop_assert_eq!(budget.remaining_steps(), Some(0));
+                if limit < total_work {
+                    prop_assert_eq!(report.stop_reason, StopReason::StepBudget);
+                }
+            }
         }
     }
 
     /// A cancellation raised before the search starts aborts immediately
-    /// and leaves the circuit untouched, at any thread count.
+    /// and leaves the circuit untouched.
     #[test]
-    fn resynth_pre_cancelled_is_a_no_op(c in arb_circuit(5, 12), jobs in 1usize..5) {
+    fn resynth_pre_cancelled_is_a_no_op(c in arb_circuit(5, 12)) {
         let flag = CancelFlag::new();
         flag.cancel();
         let budget = Budget::unlimited().with_cancel(flag);
         let mut work = c.clone();
-        let report = resynthesize_with_budget(&mut work, &resynth_opts(Jobs::new(jobs)), &budget)
+        let report = resynthesize_with_budget(&mut work, &resynth_opts(), &budget)
             .expect("cancelled resynthesis still returns Ok");
         prop_assert_eq!(report.stop_reason, StopReason::Cancelled);
         prop_assert_eq!(report.replacements, 0);
@@ -293,7 +272,7 @@ fn resynth_mid_run_cancellation_rolls_back_cleanly() {
             flag.cancel();
         });
         let mut work = c.clone();
-        let report = resynthesize_with_budget(&mut work, &resynth_opts(Jobs::new(4)), &budget)
+        let report = resynthesize_with_budget(&mut work, &resynth_opts(), &budget)
             .expect("cancelled resynthesis still returns Ok");
         killer.join().expect("killer thread");
         assert!(

@@ -1,8 +1,8 @@
 //! Scale-tier integration tests: the `sft gen` generators must be
 //! deterministic, valid, `.bench`-canonical, and the wide-word campaign
-//! must be bit-identical to 64-pattern sweeps and across thread counts on a
-//! circuit large enough that fault-dropping, FFR stem grouping and the
-//! parallel merge all engage. The exact campaign decisions on the
+//! must be bit-identical to 64-pattern sweeps on a circuit large enough
+//! that fault-dropping and FFR stem grouping engage. The exact campaign
+//! decisions on the
 //! 6K–12K-gate scale circuits are pinned in `tests/decisions.rs`.
 
 use proptest::prelude::*;
@@ -10,7 +10,6 @@ use sft::circuits::gen::{alu, deep_dag, stitched, wide_adder, wide_multiplier};
 use sft::circuits::random::RandomCircuitConfig;
 use sft::netlist::bench_format::{parse, write};
 use sft::netlist::Circuit;
-use sft::par::Jobs;
 use sft::sim::{campaign, fault_list, pattern_block, CampaignConfig, FaultSim};
 
 /// The writer contract on generated netlists: one round trip may
@@ -86,22 +85,16 @@ fn committed_corpus_matches_regenerated_output() {
 }
 
 /// The acceptance bit-identity check at CI-quick size: a ~50K-gate stitched
-/// circuit, the 256-bit campaign at 1 and 4 threads compared with plain
-/// 64-pattern sweeps of the same three blocks. Any divergence in detection
-/// indices, effective-pattern statistics or stop points fails.
+/// circuit, the 256-bit campaign compared with plain 64-pattern sweeps of
+/// the same three blocks. Any divergence in detection indices or
+/// effective-pattern statistics fails.
 #[test]
-fn wide_words_and_threads_are_bit_identical_on_50k_gates() {
+fn wide_words_are_bit_identical_on_50k_gates() {
     let core = RandomCircuitConfig { inputs: 32, outputs: 16, gates: 260, window: 56, seed: 0xB1 };
     let c = stitched(210, &core);
     assert!(c.two_input_gate_count() >= 50_000, "{} gates", c.two_input_gate_count());
     let faults = fault_list(&c);
-    let cfg = |jobs: Jobs| CampaignConfig {
-        max_patterns: 192,
-        plateau: 0,
-        seed: 0x51f7,
-        jobs,
-        ..CampaignConfig::default()
-    };
+    let cfg = CampaignConfig { max_patterns: 192, plateau: 0, seed: 0x51f7 };
     // Three 64-pattern blocks, each fault credited with its first detecting
     // pattern.
     let mut fsim = FaultSim::new(&c);
@@ -115,10 +108,9 @@ fn wide_words_and_threads_are_bit_identical_on_50k_gates() {
         }
     }
     assert!(first.iter().any(Option::is_some), "campaign must detect something at this size");
-    let serial = campaign(&c, &faults, &cfg(Jobs::serial()));
-    assert_eq!(serial.detection_pattern, first, "256-bit sweep vs 64-pattern blocks");
-    assert_eq!(serial.last_effective_pattern, first.iter().flatten().max().copied());
-    assert_eq!(serial, campaign(&c, &faults, &cfg(Jobs::new(4))), "jobs=4");
+    let r = campaign(&c, &faults, &cfg);
+    assert_eq!(r.detection_pattern, first, "256-bit sweep vs 64-pattern blocks");
+    assert_eq!(r.last_effective_pattern, first.iter().flatten().max().copied());
 }
 
 /// The at-scale path-count regression: a 100K-gate deep DAG overflows any

@@ -15,11 +15,7 @@ use sft::truth::TruthTable;
 fn podem_agrees_with_saturating_campaign() {
     let c = builders::ripple_carry_adder(4); // 9 inputs: 512 patterns saturate
     let faults = fault_list(&c);
-    let r = campaign(
-        &c,
-        &faults,
-        &CampaignConfig { max_patterns: 1 << 15, plateau: 0, seed: 1, ..Default::default() },
-    );
+    let r = campaign(&c, &faults, &CampaignConfig { max_patterns: 1 << 15, plateau: 0, seed: 1 });
     for (fault, det) in faults.iter().zip(&r.detection_pattern) {
         let podem = generate_test(&c, *fault, 100_000);
         match (det, &podem) {
@@ -47,7 +43,7 @@ fn irs_h_undetected_faults_are_random_resistant_not_redundant() {
     let r = campaign(
         &entry.circuit,
         &faults,
-        &CampaignConfig { max_patterns: 1 << 16, plateau: 0, seed: 0x5f7, ..Default::default() },
+        &CampaignConfig { max_patterns: 1 << 16, plateau: 0, seed: 0x5f7 },
     );
     let undetected: Vec<_> = faults
         .iter()
@@ -95,11 +91,7 @@ fn test_set_matches_saturated_coverage() {
     let set = generate_test_set(&c, &TestSetOptions::default());
     assert_eq!(set.aborted, 0);
     let faults = fault_list(&c);
-    let r = campaign(
-        &c,
-        &faults,
-        &CampaignConfig { max_patterns: 1 << 17, plateau: 0, seed: 9, ..Default::default() },
-    );
+    let r = campaign(&c, &faults, &CampaignConfig { max_patterns: 1 << 17, plateau: 0, seed: 9 });
     // Campaign leaves exactly the redundant faults; test set targets the
     // rest deterministically.
     assert_eq!(r.remaining(), set.redundant, "redundant fault counts must agree");
