@@ -62,12 +62,8 @@ pub fn circuit_bdds_budgeted(
 
 /// Builds a BDD for **every node** of `circuit` (not just the primary
 /// outputs), indexed by node id. Input `i` in declaration order maps to BDD
-/// variable `i`, exactly as in [`circuit_bdds`].
-///
-/// This is the substrate for incremental re-verification: a caller that
-/// keeps the per-node references of a committed circuit can carry the
-/// references of unchanged nodes across an edit and rebuild only the dirty
-/// ones with [`gate_bdd`].
+/// variable `i`, exactly as in [`circuit_bdds`]. Resynthesis reads the
+/// per-node functions to compute a cut's satisfiability don't-cares.
 ///
 /// # Errors
 ///
@@ -188,11 +184,7 @@ pub fn dfs_input_order(circuit: &Circuit) -> Vec<u32> {
 /// # Panics
 ///
 /// Panics on [`GateKind::Input`] — inputs are variables, not gates.
-pub fn gate_bdd(
-    manager: &mut Manager,
-    kind: GateKind,
-    fanins: &[BddRef],
-) -> Result<BddRef, BddError> {
+fn gate_bdd(manager: &mut Manager, kind: GateKind, fanins: &[BddRef]) -> Result<BddRef, BddError> {
     Ok(match kind {
         GateKind::Input => panic!("gate_bdd called on an input node"),
         GateKind::Const0 => BddRef::FALSE,

@@ -2,10 +2,12 @@
 //! equivalence checking.
 //!
 //! The resynthesis procedures of the paper replace subcircuits by comparison
-//! units; this crate is the exactness net around those edits. Every
-//! transformation in the workspace can be (and, in the test suites, is)
-//! verified by building BDDs for the original and modified circuits in a
-//! shared manager and comparing node references.
+//! units and check each replacement on its cut's truth table; this crate is
+//! the whole-circuit oracle around those edits. Every transformation in the
+//! workspace can be (and, in the test suites and `sft equiv`, is) verified
+//! by building BDDs for the original and modified circuits in a shared
+//! manager and comparing node references. It also computes the
+//! satisfiability don't-cares of a cut for resynthesis.
 //!
 //! The manager is hash-consed without complement edges; a configurable node
 //! cap turns pathological blowups into an error instead of memory
@@ -31,6 +33,6 @@ mod manager;
 pub use bridge::{
     circuit_bdds, circuit_bdds_budgeted, circuit_node_bdds_budgeted, circuit_node_bdds_ordered,
     dfs_input_order, equivalent, equivalent_with_manager, equivalent_with_manager_budgeted,
-    gate_bdd, CheckResult,
+    CheckResult,
 };
 pub use manager::{BddError, BddRef, Manager, DEFAULT_NODE_LIMIT};

@@ -146,7 +146,6 @@ pub struct Manager {
     unique: FxHashMap<(u32, BddRef, BddRef), BddRef>,
     ite_cache: FxHashMap<(BddRef, BddRef, BddRef), BddRef>,
     node_limit: usize,
-    generation: u64,
 }
 
 impl fmt::Debug for Manager {
@@ -181,73 +180,12 @@ impl Manager {
             unique: FxHashMap::default(),
             ite_cache: FxHashMap::default(),
             node_limit,
-            generation: 0,
         }
     }
 
     /// Number of live nodes (including the two terminals).
     pub fn node_count(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// How many times [`Manager::compact`] has run. References obtained
-    /// under an older generation and not passed through a `compact` call are
-    /// invalid.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Garbage-collects the manager: keeps only the nodes reachable from
-    /// `keep` (plus the two terminals), renumbers them densely, rewrites the
-    /// references in `keep` in place, rebuilds the unique table, and clears
-    /// the operation cache. Bumps [`Manager::generation`].
-    ///
-    /// Every reference **not** in `keep` is invalidated; long-running
-    /// callers that re-verify a circuit pass-by-pass use this between passes
-    /// to keep the unique/`ite` tables bounded by the live working set
-    /// instead of the whole run's history.
-    pub fn compact(&mut self, keep: &mut [BddRef]) {
-        let mut live = vec![false; self.nodes.len()];
-        live[0] = true;
-        live[1] = true;
-        let mut stack: Vec<u32> = keep.iter().map(|r| r.0).collect();
-        while let Some(i) = stack.pop() {
-            if live[i as usize] {
-                continue;
-            }
-            live[i as usize] = true;
-            let n = self.nodes[i as usize];
-            stack.push(n.lo.0);
-            stack.push(n.hi.0);
-        }
-        // `mk` pushes a node only after both children exist, so every child
-        // index is smaller than its parent's and one ascending pass remaps
-        // children before they are read.
-        let mut remap: Vec<u32> = vec![u32::MAX; self.nodes.len()];
-        let mut nodes: Vec<Node> = Vec::with_capacity(live.iter().filter(|&&l| l).count());
-        let mut unique = FxHashMap::default();
-        for (i, node) in self.nodes.iter().enumerate() {
-            if !live[i] {
-                continue;
-            }
-            let r = BddRef(nodes.len() as u32);
-            remap[i] = r.0;
-            if node.var == TERMINAL_VAR {
-                nodes.push(*node);
-            } else {
-                let lo = BddRef(remap[node.lo.0 as usize]);
-                let hi = BddRef(remap[node.hi.0 as usize]);
-                unique.insert((node.var, lo, hi), r);
-                nodes.push(Node { var: node.var, lo, hi });
-            }
-        }
-        for r in keep.iter_mut() {
-            *r = BddRef(remap[r.0 as usize]);
-        }
-        self.nodes = nodes;
-        self.unique = unique;
-        self.ite_cache.clear();
-        self.generation += 1;
     }
 
     /// The constant function for `value`.
@@ -623,69 +561,6 @@ mod tests {
         assert_eq!(r, ac);
         // Restricting an absent variable is the identity.
         assert_eq!(m.restrict(ab, 2, true).unwrap(), ab);
-    }
-
-    /// Compaction keeps exactly the reachable nodes, preserves semantics
-    /// through the remapped references, and bumps the generation.
-    #[test]
-    fn compact_drops_garbage_and_preserves_semantics() {
-        let mut m = Manager::new();
-        let a = m.var(0).unwrap();
-        let b = m.var(1).unwrap();
-        let c = m.var(2).unwrap();
-        let ab = m.and(a, b).unwrap();
-        let f = m.or(ab, c).unwrap();
-        // Garbage: functions we will not keep.
-        let x = m.xor(a, b).unwrap();
-        let _ = m.and(x, c).unwrap();
-        let before = m.node_count();
-        let truth: Vec<bool> =
-            (0..8u32).map(|i| m.eval(f, &[i & 1 == 1, i >> 1 & 1 == 1, i >> 2 & 1 == 1])).collect();
-        let mut keep = [f];
-        assert_eq!(m.generation(), 0);
-        m.compact(&mut keep);
-        assert_eq!(m.generation(), 1);
-        assert!(m.node_count() < before, "garbage must be dropped");
-        let after: Vec<bool> = (0..8u32)
-            .map(|i| m.eval(keep[0], &[i & 1 == 1, i >> 1 & 1 == 1, i >> 2 & 1 == 1]))
-            .collect();
-        assert_eq!(truth, after);
-        // Hash-consing still canonical after the rebuild: reconstructing the
-        // same function returns the kept reference.
-        let a = m.var(0).unwrap();
-        let b = m.var(1).unwrap();
-        let c = m.var(2).unwrap();
-        let ab = m.and(a, b).unwrap();
-        let f2 = m.or(ab, c).unwrap();
-        assert_eq!(f2, keep[0]);
-    }
-
-    /// Repeatedly building throwaway functions and compacting keeps the
-    /// node count bounded by the live working set — the tables do not grow
-    /// with the number of passes.
-    #[test]
-    fn compact_bounds_growth_over_repeated_passes() {
-        let mut m = Manager::new();
-        let a = m.var(0).unwrap();
-        let b = m.var(1).unwrap();
-        let ab = m.and(a, b).unwrap();
-        let mut keep = [ab];
-        let mut baseline = None;
-        for pass in 0..10 {
-            // Per-pass scratch work that would otherwise accumulate.
-            let vars: Vec<BddRef> = (2..10).map(|i| m.var(i).unwrap()).collect();
-            let mut acc = keep[0];
-            for &v in &vars {
-                acc = m.xor(acc, v).unwrap();
-            }
-            m.compact(&mut keep);
-            let count = m.node_count();
-            match baseline {
-                None => baseline = Some(count),
-                Some(base) => assert_eq!(count, base, "pass {pass} leaked nodes"),
-            }
-        }
-        assert_eq!(m.generation(), 10);
     }
 
     /// Exhaustive semantic check of ite on random 3-variable functions.

@@ -14,7 +14,7 @@
 //! - [`Exhausted`] — *why* a budget ran out (deadline, steps, cancelled).
 //! - [`StopReason`] — the workspace-wide vocabulary for why an engine
 //!   stopped, combining budget exhaustion with the engines' own
-//!   fail-safe outcomes (BDD blowup, verification rollback, ...).
+//!   outcomes (convergence, an iteration cap, a verification rollback).
 //! - [`CancelFlag`] — a shareable flag another thread (or a signal
 //!   handler) can raise to request a graceful stop.
 //!
@@ -99,12 +99,11 @@ pub enum StopReason {
     StepBudget,
     /// The cancellation flag was raised.
     Cancelled,
-    /// BDD construction hit its node limit during verification; the last
-    /// verified result was kept.
-    BddBlowup,
-    /// Verification found a functional difference and the engine rolled
-    /// back to the last verified result (an internal-bug containment
-    /// path, not an expected outcome).
+    /// A checked edit did not preserve the function and the engine rolled
+    /// back to the last verified result. In resynthesis the check is per
+    /// replacement: the rewired cone's truth table over its cut must equal
+    /// the old cone's (on the care set when don't-cares are used). This is
+    /// an internal-bug containment path, not an expected outcome.
     VerificationRollback,
 }
 
@@ -127,7 +126,6 @@ impl fmt::Display for StopReason {
             StopReason::Deadline => write!(f, "deadline"),
             StopReason::StepBudget => write!(f, "step-budget"),
             StopReason::Cancelled => write!(f, "cancelled"),
-            StopReason::BddBlowup => write!(f, "bdd-blowup"),
             StopReason::VerificationRollback => write!(f, "verification-rollback"),
         }
     }
@@ -396,7 +394,7 @@ mod tests {
         assert!(!StopReason::Converged.is_early());
         assert!(!StopReason::MaxPasses.is_early());
         assert!(StopReason::Deadline.is_early());
-        assert!(StopReason::BddBlowup.is_early());
+        assert!(StopReason::VerificationRollback.is_early());
     }
 
     #[test]

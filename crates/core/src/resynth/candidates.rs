@@ -11,6 +11,7 @@ use crate::unit::unit_cost;
 use crate::{identify, identify_with_dc, identify_with_polarities, ComparisonSpec};
 use sft_budget::{Budget, Exhausted};
 use sft_netlist::{two_input_cost, Circuit, CircuitViews, NodeId};
+use sft_truth::TruthTable;
 use std::collections::HashSet;
 
 /// What a candidate replaces the subcircuit with.
@@ -31,6 +32,11 @@ pub(super) struct Candidate {
     pub(super) replacement: Replacement,
     pub(super) gate_reduction: i64,
     pub(super) new_paths_at_g: u128,
+    /// The cone's function over `inputs`, which the replacement must keep.
+    pub(super) truth: TruthTable,
+    /// The cut's satisfiability don't-cares, when the replacement was
+    /// identified on the care set only.
+    pub(super) dont_care: Option<TruthTable>,
 }
 
 /// Per-gate read-only context shared by every candidate scoring of one
@@ -140,7 +146,9 @@ pub(super) fn enumerate_candidates(
 /// Scores one candidate cone at `ctx.g`: extracts the cone function,
 /// identifies a comparison replacement (a unit, a negated-input unit, or a
 /// cover), and computes the gate/path deltas. Returns `Ok(None)` when the
-/// cone has no admissible replacement.
+/// cone has no admissible replacement. The candidate keeps the cone's truth
+/// table (and the don't-cares its unit was identified with) for the check
+/// after the splice.
 ///
 /// Read-only on the circuit. Consumes one budget step (the pass's unit of
 /// work) before doing anything expensive, so a step limit bounds the
@@ -150,22 +158,24 @@ pub(super) fn score_candidate(
     options: &ResynthOptions,
     budget: &Budget,
     ctx: &ScoreCtx<'_>,
-    dc: Option<&mut (sft_bdd::Manager, Vec<sft_bdd::BddRef>)>,
+    sdc: Option<&mut (sft_bdd::Manager, Vec<sft_bdd::BddRef>)>,
     gates: &[NodeId],
     inputs: &[NodeId],
 ) -> Result<Option<Candidate>, Exhausted> {
     budget.consume(1)?;
     let Ok(truth) = circuit.cone_function(ctx.g, inputs) else { return Ok(None) };
-    let spec = match dc {
-        Some((manager, per_node)) => match reachable_dc(manager, per_node, circuit, inputs) {
-            Ok(Some(dc)) => identify_with_dc(&truth, &dc, &options.identify),
-            _ => identify(&truth, &options.identify),
-        },
+    let dc = sdc.and_then(|(manager, per_node)| {
+        reachable_dc(manager, per_node, circuit, inputs).ok().flatten()
+    });
+    let spec = match &dc {
+        Some(dc) => identify_with_dc(&truth, dc, &options.identify),
         None => identify(&truth, &options.identify),
     };
+    let mut dont_care = None;
     let (replacement, cost) = match spec {
         Some(spec) => {
             let Ok(cost) = unit_cost(&spec) else { return Ok(None) };
+            dont_care = dc;
             (Replacement::Unit(spec), cost)
         }
         None => {
@@ -210,6 +220,8 @@ pub(super) fn score_candidate(
         replacement,
         gate_reduction,
         new_paths_at_g,
+        truth,
+        dont_care,
     }))
 }
 

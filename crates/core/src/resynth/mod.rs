@@ -21,27 +21,32 @@
 //! After a replacement, the inputs of the selected subcircuit are marked
 //! for further processing, and the internal gates that the replacement made
 //! dead are never revisited. The whole procedure repeats in passes until a
-//! pass yields no improvement. Every pass is verified equivalent to the
-//! input circuit with BDDs.
+//! pass yields no improvement.
+//!
+//! Every replacement is checked where the check is exact and cheap: right
+//! after the splice, the new cone's function over the cut (at most 7 lines,
+//! so 2^K bits) must equal the old cone's, or agree with it on the care set
+//! when the unit was identified with satisfiability don't-cares. A
+//! replacement that keeps its cut's function keeps every output's function,
+//! so no whole-circuit check is needed.
 //!
 //! Resynthesis is **transactional per pass**, on the edit journal of
 //! [`sft_netlist`]: each pass opens an edit transaction on the live circuit
-//! and is committed only after BDD verification succeeds. BDD blowup, a
-//! verification mismatch, budget exhaustion, or cancellation rolls the
-//! journal back to the last verified state — O(#edits of the pass), not
-//! O(circuit) — and ends the run with a [`StopReason`] in the report; never
-//! an error that discards completed passes. The procedures are anytime
-//! algorithms, and the API preserves that property.
+//! and is committed when it completes. A replacement that fails its check,
+//! budget exhaustion, or cancellation rolls the journal back to the last
+//! committed state — O(#edits of the pass), not O(circuit) — and ends the
+//! run with a [`StopReason`] in the report; never an error that discards
+//! completed passes. The procedures are anytime algorithms, and the API
+//! preserves that property.
 //!
 //! The implementation is split along the transactional seams:
 //!
 //! - [`candidates`](self) — cone enumeration, identification, and scoring
 //!   (read-only on the circuit);
 //! - [`pass`](self) — one output-to-input traversal applying accepted
-//!   replacements through journaled edits;
+//!   replacements through journaled edits, each checked against its cone;
 //! - [`commit`](self) — the pass loop: journal checkpoints, dirty-region
-//!   diffing against the journal, incremental BDD verification, and
-//!   commit/rollback.
+//!   diffing against the journal, and commit/rollback.
 
 mod candidates;
 mod commit;
@@ -84,11 +89,6 @@ pub struct ResynthOptions {
     pub identify: IdentifyOptions,
     /// Maximum number of passes.
     pub max_passes: usize,
-    /// Node cap of the verification BDD manager. Verification BDDs for the
-    /// reference and every pass result accumulate in one hash-consed
-    /// manager; exceeding the cap rolls the run back to the last verified
-    /// circuit with [`StopReason::BddBlowup`].
-    pub verify_node_limit: usize,
     /// Use satisfiability don't-cares (reachable cone-input combinations)
     /// during identification — the first "issue to be investigated" of the
     /// paper's concluding remarks. Computed exactly with BDDs; expensive,
@@ -108,22 +108,6 @@ pub struct ResynthOptions {
     /// Ignored: resynthesis always runs on the calling thread. Kept only
     /// because the `perfbench` package sets it.
     pub jobs: Jobs,
-    /// Skip re-scoring gates whose rejection provably replays: a gate
-    /// rejected in a pass is not re-scored in the next pass unless the
-    /// modified region (the replacements, their fanin frontier, and
-    /// everything downstream) reaches its scoring environment. The final
-    /// netlist is identical to a full re-walk; under a *step* budget the
-    /// run consumes fewer steps and can therefore progress further before
-    /// exhaustion. On by default.
-    pub incremental_rescoring: bool,
-    /// Compact the cumulative verification BDD manager after every
-    /// committed pass, keeping only the reference and the committed
-    /// circuit's node BDDs. Bounds the manager (and its operation caches)
-    /// by the live working set instead of the whole run's history;
-    /// [`ResynthReport::verify_nodes`] reports the peak either way. Off, the
-    /// manager grows monotonically (the pre-compaction behavior). On by
-    /// default.
-    pub compact_verifier: bool,
 }
 
 impl Default for ResynthOptions {
@@ -134,13 +118,10 @@ impl Default for ResynthOptions {
             objective: Objective::Gates,
             identify: IdentifyOptions::default(),
             max_passes: 16,
-            verify_node_limit: sft_bdd::DEFAULT_NODE_LIMIT,
             use_satisfiability_dont_cares: false,
             max_cover_units: 1,
             allow_input_negation: false,
             jobs: Jobs::serial(),
-            incremental_rescoring: true,
-            compact_verifier: true,
         }
     }
 }
@@ -149,8 +130,8 @@ impl Default for ResynthOptions {
 ///
 /// Only genuinely unrecoverable conditions are errors: a circuit that fails
 /// validation (or a structural edit that cannot be applied). Recoverable
-/// interruptions — BDD blowup, verification mismatch, budget exhaustion,
-/// cancellation — roll back to the last verified circuit and are reported
+/// interruptions — a replacement that fails its check, budget exhaustion,
+/// cancellation — roll back to the last committed circuit and are reported
 /// through [`ResynthReport::stop_reason`] instead.
 #[derive(Debug)]
 pub enum ResynthError {
@@ -177,7 +158,7 @@ impl From<sft_netlist::NetlistError> for ResynthError {
 /// Summary of a resynthesis run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ResynthReport {
-    /// Committed (verified) passes.
+    /// Committed passes.
     pub passes: usize,
     /// Subcircuit replacements in committed passes.
     pub replacements: usize,
@@ -191,13 +172,10 @@ pub struct ResynthReport {
     pub paths_after: PathCount,
     /// Why the run ended. Everything other than
     /// [`StopReason::Converged`] / [`StopReason::MaxPasses`] means the run
-    /// was cut short and the circuit holds the last verified state.
+    /// was cut short and the circuit holds the last committed state.
     pub stop_reason: StopReason,
-    /// **Peak** node count of the cumulative verification BDD manager over
-    /// the run. A direct measure of verification effort against
-    /// [`ResynthOptions::verify_node_limit`]; with
-    /// [`ResynthOptions::compact_verifier`] off the manager never shrinks
-    /// and the peak equals the final count.
+    /// Always 0: resynthesis builds no verification BDDs. Kept only because
+    /// the `perfbench` package reads it.
     pub verify_nodes: usize,
 }
 
@@ -260,15 +238,16 @@ pub fn resynthesize(
 
 /// Runs resynthesis under an effort budget, transactionally per pass.
 ///
-/// Each pass opens an edit transaction on the live circuit; after the pass
-/// the result is re-verified against the reference BDDs, and only then
-/// committed. If the pass (or its verification) is interrupted — deadline,
-/// step budget, cancellation, BDD node-limit blowup, or a verification
-/// mismatch — the journal **rolls the circuit back to the last committed
+/// Each pass opens an edit transaction on the live circuit. Every
+/// replacement is checked right after its splice: the rewired cone's truth
+/// table over the cut must equal the old cone's (on the care set, when the
+/// unit was identified with don't-cares). If the pass is interrupted —
+/// deadline, step budget, cancellation, or a replacement that fails its
+/// check — the journal **rolls the circuit back to the last committed
 /// state** (cost proportional to the pass's edits, not the circuit) and the
 /// function returns `Ok` with the appropriate [`StopReason`], keeping all
-/// previously committed work. The returned circuit is always BDD-verified
-/// equivalent to the input.
+/// previously committed work. The returned circuit is always equivalent to
+/// the input.
 ///
 /// # Errors
 ///
@@ -279,12 +258,13 @@ pub fn resynthesize_with_budget(
     options: &ResynthOptions,
     budget: &Budget,
 ) -> Result<ResynthReport, ResynthError> {
-    commit::run(circuit, options, budget)
+    commit::run(circuit, options, budget, true)
 }
 
 #[cfg(test)]
 mod tests {
     use super::candidates::{enumerate_candidates, removable_gates};
+    use super::pass::matches_cone;
     use super::*;
     use sft_netlist::bench_format::parse;
 
@@ -411,13 +391,27 @@ t1 = AND(a, b)\ny = OR(t1, c)\nz = NOT(t1)\n";
         procedure2(&mut c, &ResynthOptions::default()).unwrap();
         assert!(c.views().is_none());
         assert!(!c.in_transaction());
+    }
 
-        // Early-exit path: reference BDDs do not fit.
-        let mut c = budget_fixture();
-        let opts = ResynthOptions { verify_node_limit: 2, ..ResynthOptions::default() };
-        resynthesize(&mut c, &opts).unwrap();
-        assert!(c.views().is_none());
-        assert!(!c.in_transaction());
+    /// The per-replacement check compares the rewired cone with the old
+    /// one over the cut: a wrong function is a mismatch, and a difference
+    /// only on don't-care minterms is not.
+    #[test]
+    fn replacement_check_compares_on_the_care_set() {
+        let src = "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\ng = AND(a, b)\ny = OR(g, c)\n";
+        let mut c = parse(src, "check").unwrap();
+        let id = |name: &str| c.iter().find(|(_, n)| n.name() == Some(name)).unwrap().0;
+        let (a, b, g) = (id("a"), id("b"), id("g"));
+        let cut = [a, b];
+        let before = c.cone_function(g, &cut).unwrap();
+        assert!(matches_cone(&c, g, &cut, &before, None), "an unchanged cone matches");
+        // AND -> OR differs on minterms 01 and 10 of (a, b).
+        c.rewire(g, sft_netlist::GateKind::Or, vec![a, b]).unwrap();
+        assert!(!matches_cone(&c, g, &cut, &before, None), "a wrong function is a mismatch");
+        let dc = |minterms: &[u64]| sft_truth::TruthTable::from_minterms(2, minterms).unwrap();
+        assert!(matches_cone(&c, g, &cut, &before, Some(&dc(&[1, 2]))));
+        assert!(!matches_cone(&c, g, &cut, &before, Some(&dc(&[1]))), "10 is a care minterm");
+        assert!(!matches_cone(&c, g, &cut, &before, Some(&dc(&[0, 3]))));
     }
 
     #[test]
@@ -569,87 +563,12 @@ p1 = AND(x, c)\np2 = AND(c, x)\ny = OR(p1, p2)\n";
         assert!(sft_bdd::equivalent(&unbudgeted, &budgeted).unwrap().is_equivalent());
     }
 
-    /// When even the reference BDDs do not fit the verification manager,
-    /// the run returns the untouched circuit with `BddBlowup` instead of an
-    /// error — the anytime contract holds all the way down.
-    #[test]
-    fn reference_blowup_returns_input_unchanged() {
-        let original = budget_fixture();
-        let mut c = original.clone();
-        let opts = ResynthOptions { verify_node_limit: 2, ..ResynthOptions::default() };
-        let report = resynthesize(&mut c, &opts).unwrap();
-        assert_eq!(report.stop_reason, StopReason::BddBlowup);
-        assert_eq!(report.passes, 0);
-        assert!(sft_bdd::equivalent(&original, &c).unwrap().is_equivalent());
-    }
-
-    /// The headline acceptance test: verification blows up only after the
-    /// first committed pass, and the run keeps that pass's work —
-    /// `replacements > 0`, `stop_reason: BddBlowup`, circuit equivalent to
-    /// the input and strictly better than it.
-    #[test]
-    fn pass2_blowup_keeps_pass1_work() {
-        // A seeded reconvergent circuit known to improve over several
-        // passes (later passes absorb the unit gates the earlier ones
-        // created), so the cumulative verification manager keeps growing
-        // after pass 1.
-        let original =
-            sft_circuits::random::random_circuit(&sft_circuits::random::RandomCircuitConfig {
-                inputs: 12,
-                outputs: 6,
-                gates: 80,
-                window: 24,
-                seed: 1,
-            });
-        // With compaction off the verification manager only grows, so
-        // `verify_nodes` of a prefix run is a floor for the full run's and
-        // the one-node-short limit below lands in a later pass.
-        let base = ResynthOptions { compact_verifier: false, ..ResynthOptions::default() };
-        let full = {
-            let mut c = original.clone();
-            resynthesize(&mut c, &base).unwrap()
-        };
-        let pass1 = {
-            let mut c = original.clone();
-            let opts = ResynthOptions { max_passes: 1, ..base.clone() };
-            resynthesize(&mut c, &opts).unwrap()
-        };
-        assert!(full.passes >= 2, "fixture must take at least two passes: {full}");
-        assert!(
-            full.replacements > pass1.replacements,
-            "later passes must do real work: {pass1} vs {full}"
-        );
-        // One node short of the full run's verification demand: the run
-        // replays identically until the last allocating pass, whose
-        // verification now blows up and rolls back.
-        let limit = full.verify_nodes - 1;
-        assert!(
-            limit >= pass1.verify_nodes,
-            "pass-1 verification must fit under the injected limit"
-        );
-        let mut c = original.clone();
-        let opts = ResynthOptions { verify_node_limit: limit, ..base };
-        let report = resynthesize(&mut c, &opts).unwrap();
-        assert_eq!(report.stop_reason, StopReason::BddBlowup, "{report}");
-        assert!(report.passes >= 1, "pass-1 commit must survive the blowup: {report}");
-        assert!(report.replacements > 0, "pass-1 work must be kept: {report}");
-        assert!(
-            sft_bdd::equivalent(&original, &c).unwrap().is_equivalent(),
-            "rollback must preserve the function"
-        );
-        assert!(
-            c.two_input_gate_count() < original.two_input_gate_count(),
-            "kept work must improve on the input"
-        );
-    }
-
     /// Rejection replay is a pure acceleration. On the bundled suite and on
     /// a multi-pass fixture that exercises the skip path, the final netlist
     /// and the report are bit-identical to a fully re-scored run.
     #[test]
     fn incremental_rescoring_matches_full_rewalk() {
-        let fast = ResynthOptions { max_candidates_per_gate: 60, ..ResynthOptions::default() };
-        let slow = ResynthOptions { incremental_rescoring: false, ..fast.clone() };
+        let opts = ResynthOptions { max_candidates_per_gate: 60, ..ResynthOptions::default() };
         let multi_pass =
             sft_circuits::random::random_circuit(&sft_circuits::random::RandomCircuitConfig {
                 inputs: 12,
@@ -664,41 +583,10 @@ p1 = AND(x, c)\np2 = AND(c, x)\ny = OR(p1, p2)\n";
         for original in circuits {
             let mut a = original.clone();
             let mut b = original.clone();
-            let ra = resynthesize(&mut a, &fast).unwrap();
-            let rb = resynthesize(&mut b, &slow).unwrap();
+            let ra = resynthesize(&mut a, &opts).unwrap();
+            let rb = commit::run(&mut b, &opts, &Budget::unlimited(), false).unwrap();
             assert_eq!(ra, rb, "{}: reports must match", original.name());
             assert_eq!(a, b, "{}: netlists must be bit-identical", original.name());
         }
-    }
-
-    /// Compacting the verification manager between passes changes neither
-    /// the result nor the decisions, and its peak node count never exceeds
-    /// the monotone (uncompacted) manager's.
-    #[test]
-    fn verifier_compaction_is_transparent_and_bounded() {
-        let original =
-            sft_circuits::random::random_circuit(&sft_circuits::random::RandomCircuitConfig {
-                inputs: 12,
-                outputs: 6,
-                gates: 80,
-                window: 24,
-                seed: 1,
-            });
-        let compacted_opts = ResynthOptions { compact_verifier: true, ..ResynthOptions::default() };
-        let monotone_opts = ResynthOptions { compact_verifier: false, ..ResynthOptions::default() };
-        let mut compacted = original.clone();
-        let rc = resynthesize(&mut compacted, &compacted_opts).unwrap();
-        let mut monotone = original.clone();
-        let rm = resynthesize(&mut monotone, &monotone_opts).unwrap();
-        assert!(rc.passes >= 2, "fixture must take at least two passes: {rc}");
-        assert_eq!(compacted, monotone, "compaction must not change the netlist");
-        assert_eq!((rc.passes, rc.replacements), (rm.passes, rm.replacements));
-        assert_eq!((rc.gates_after, rc.paths_after), (rm.gates_after, rm.paths_after));
-        assert!(
-            rc.verify_nodes <= rm.verify_nodes,
-            "compacted peak {} must not exceed monotone peak {}",
-            rc.verify_nodes,
-            rm.verify_nodes
-        );
     }
 }

@@ -9,11 +9,14 @@ use super::{Objective, ResynthOptions};
 use crate::unit::build_unit_in;
 use sft_budget::{Budget, Exhausted};
 use sft_netlist::{Circuit, GateKind, NodeId};
+use sft_truth::TruthTable;
 
-/// Why a pass could not run to completion. Budget exhaustion is recoverable
-/// (rollback + report); netlist errors are not.
+/// Why a pass could not run to completion. Budget exhaustion and a
+/// replacement that does not match its cone are recoverable (rollback +
+/// report); netlist errors are not.
 pub(super) enum PassAbort {
     Budget(Exhausted),
+    Mismatch,
     Netlist(sft_netlist::NetlistError),
 }
 
@@ -181,6 +184,9 @@ pub(super) fn one_pass(
                 }
             };
             circuit.rewire(g, kind, fanins)?;
+            if !matches_cone(circuit, g, &b.inputs, &b.truth, b.dont_care.as_ref()) {
+                return Err(PassAbort::Mismatch);
+            }
             replacements += 1;
             untouched = false;
             for i in &b.inputs {
@@ -202,4 +208,25 @@ pub(super) fn one_pass(
         }
     }
     Ok(replacements)
+}
+
+/// The per-replacement check: whether `g`, rewired to its replacement,
+/// still computes `before` over the cut `inputs`, on every cut minterm
+/// outside `dont_care` (`(after XOR before) AND NOT dc == 0`). The cut has
+/// at most 7 lines, so this is an exact 2^K-bit comparison. Every line of
+/// the cut predates the replacement and keeps its function, so a match at
+/// `g` keeps the function of every primary output.
+pub(super) fn matches_cone(
+    circuit: &Circuit,
+    g: NodeId,
+    inputs: &[NodeId],
+    before: &TruthTable,
+    dont_care: Option<&TruthTable>,
+) -> bool {
+    let Ok(after) = circuit.cone_function(g, inputs) else { return false };
+    let diff = after.xor(before);
+    match dont_care {
+        Some(dc) => diff.and(&dc.complement()).is_zero(),
+        None => diff.is_zero(),
+    }
 }

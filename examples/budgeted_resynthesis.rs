@@ -1,10 +1,10 @@
 //! The effort governor end to end: resynthesis under a wall-clock
 //! deadline, a step budget, and cooperative cancellation.
 //!
-//! The paper's procedures are anytime algorithms — every pass is
-//! independently BDD-verified before it is committed — so an exhausted
-//! budget returns the best verified circuit so far together with a
-//! [`StopReason`], never an error that loses work.
+//! The paper's procedures are anytime algorithms — every replacement is
+//! checked on its cut's truth table, and a pass is committed whole or not
+//! at all — so an exhausted budget returns the best checked circuit so far
+//! together with a [`StopReason`], never an error that loses work.
 //!
 //! Run with `cargo run --release --example budgeted_resynthesis`.
 

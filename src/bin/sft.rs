@@ -30,6 +30,8 @@
 //! Resynthesis options: `--objective gates|paths|combined`, `--k N`,
 //! `--negation`, `--covers N`, `--dont-cares`.
 //!
+//! Every subcommand rejects, by name, a `--` option it does not read.
+//!
 //! Effort options (resynth, testgen, pdf): `--time-limit <dur>` (e.g.
 //! `500ms`, `10s`, `2m`, `1h`, or bare seconds) and `--step-limit <N>`
 //! bound the run. An exhausted budget is not an error: the command prints
@@ -127,6 +129,43 @@ const VALUE_OPTIONS: &[&str] = &[
     "--to",
     "--lut-k",
 ];
+
+/// The options of each subcommand, space-separated. `--from` goes with
+/// every command that reads a circuit file, `--to` and `--lut-k` with every
+/// one that writes one. `None` for `help` and unknown commands.
+fn known_options(command: &str) -> Option<&'static str> {
+    Some(match command {
+        "stats" | "equiv" | "techmap" => "--from",
+        "resynth" => {
+            "--from --to --lut-k --objective --k --negation --covers --dont-cares \
+             --time-limit --step-limit"
+        }
+        "redundancy" | "convert" => "--from --to --lut-k",
+        "testgen" => "--from --time-limit --step-limit",
+        "pdf" => "--from --pairs --jobs --time-limit --step-limit",
+        "export" => "--from --verilog --dot",
+        "gen" => "--to --lut-k --width --inputs --outputs --gates --window --seed --copies",
+        "serve" => "--jobs --once --queue --time-limit --step-limit --max-attempts --stats-every",
+        _ => return None,
+    })
+}
+
+/// Rejects a `--` option that `command` does not read, naming it, so a
+/// misspelt or retired flag is not silently ignored.
+fn check_options(command: &str, args: &[String]) -> Result<(), String> {
+    let Some(known) = known_options(command) else { return Ok(()) };
+    let mut skip = false;
+    for a in args {
+        if std::mem::take(&mut skip) {
+            continue;
+        }
+        if a.starts_with("--") && !known.split_whitespace().any(|k| k == a) {
+            return Err(format!("unknown option {a:?} for `sft {command}`"));
+        }
+        skip = VALUE_OPTIONS.contains(&a.as_str());
+    }
+    Ok(())
+}
 
 /// The value of option `name`, or `None` without it. The option given
 /// without a value is an error.
@@ -228,6 +267,7 @@ fn run() -> Result<(), String> {
         );
     };
     let rest = &args[1..];
+    check_options(command, rest)?;
     match command.as_str() {
         "help" => {
             println!("see the crate README for full usage; commands:");

@@ -26,8 +26,8 @@
 //! let spec = identify(&f2, &IdentifyOptions::default()).expect("comparison function");
 //! assert_eq!((spec.lower, spec.upper), (5, 10));
 //!
-//! // Resynthesize a circuit with Procedure 2 (gates minimized); the edit
-//! // is verified equivalent with BDDs internally.
+//! // Resynthesize a circuit with Procedure 2 (gates minimized); every
+//! // replacement is checked against the cone it replaces.
 //! let mut c = parse(
 //!     "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nt1 = AND(a, b)\nt2 = AND(b, a)\ny = OR(t1, t2)\n",
 //!     "demo",

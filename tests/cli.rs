@@ -247,6 +247,31 @@ fn numeric_options_reject_garbage_values() {
     }
 }
 
+/// An option the subcommand does not read — misspelt, retired, or another
+/// command's — is an error that names it, not silently ignored.
+#[test]
+fn unknown_options_are_rejected_by_name() {
+    let input = write_bench("unknown_opt.bench", DEMO);
+    let output = write_bench("unknown_opt_out.bench", "");
+    let root = std::env::temp_dir().join(format!("sft-cli-unknown-{}", std::process::id()));
+    let (input, output) = (input.to_str().unwrap(), output.to_str().unwrap());
+    for (args, option) in [
+        (vec!["resynth", input, output, "--frobnicate"], "--frobnicate"),
+        (vec!["resynth", input, output, "--jobs", "4"], "--jobs"),
+        (vec!["testgen", input, "--jobs", "2", "--bogus", "3"], "--jobs"),
+        (vec!["stats", input, "--bogus"], "--bogus"),
+        (vec!["equiv", input, input, "--to", "aag"], "--to"),
+        (vec!["gen", "adder", output, "--width", "4", "--copies2", "3"], "--copies2"),
+        (vec!["serve", root.to_str().unwrap(), "--once", "--from", "bench"], "--from"),
+    ] {
+        let out = sft().args(&args).output().expect("spawn");
+        assert!(!out.status.success(), "{args:?}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown option") && err.contains(option), "{args:?}: {err}");
+    }
+    assert!(!root.exists(), "a rejected serve must not create its root");
+}
+
 #[test]
 fn convert_round_trips_through_verilog_and_aiger() {
     let input = write_bench("conv.bench", DEMO);

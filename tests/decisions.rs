@@ -8,15 +8,16 @@
 //! what the program computes, and the new value belongs in this file
 //! together with the reason.
 
-use sft::budget::Budget;
+use sft::budget::{Budget, StopReason};
 use sft::circuits::random::RandomCircuitConfig;
 use sft::circuits::{gen, suite_small, SuiteEntry};
 use sft::core::{procedure2, resynthesize_with_budget, ResynthOptions};
 use sft::netlist::{Circuit, GateKind, NodeId};
-use sft::par::Jobs;
+use sft::par::{derive_seed, Jobs};
 use sft::serve::{serve, ServeConfig, ServeSummary};
 use sft::sim::{
-    campaign, collapse, fault_list, CampaignConfig, CampaignResult, Fault, FaultSite, SoaCircuit,
+    campaign, collapse, fault_list, CampaignConfig, CampaignResult, Fault, FaultSite, Simulator,
+    SoaCircuit,
 };
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -149,6 +150,29 @@ fn arena_decisions_are_pinned() {
         let r = resynthesize_with_budget(&mut c, &opts, &budget).expect("resynthesis verifies");
         let decided = (mem.nodes, mem.pool_live, mem.interned_names, r.replacements, r.gates_after);
         assert_eq!(decided, pin, "{name}: arena decisions drifted");
+    }
+}
+
+/// Unbudgeted Procedure 2 with at most 20 candidates per gate on a circuit
+/// whose whole-circuit BDDs do not fit the default node limit. The result
+/// is compared with the input on 64 blocks of 64 random patterns instead.
+#[test]
+fn scale_resynthesis_decisions_are_pinned() {
+    // (replacements, gates_after, paths_after, stop_reason)
+    let pins = [("dag12k", dag12k(), (54, 7972, 5_602_281, StopReason::Converged))];
+    for (name, original, pin) in pins {
+        let mut c = original.clone();
+        let opts = ResynthOptions { max_candidates_per_gate: 20, ..Default::default() };
+        let r = procedure2(&mut c, &opts).expect("resynthesis runs");
+        let decided = (r.replacements, r.gates_after, r.paths_after.value(), r.stop_reason);
+        assert_eq!(decided, pin, "{name}: scale resynthesis decisions drifted");
+        let (before, after) = (Simulator::new(&original), Simulator::new(&c));
+        for block in 0..64 {
+            let words: Vec<u64> =
+                (0..original.inputs().len() as u64).map(|i| derive_seed(block, i)).collect();
+            let outputs = |sim: &Simulator| sim.output_words(&sim.eval(&words));
+            assert_eq!(outputs(&after), outputs(&before), "{name}: block {block} differs");
+        }
     }
 }
 

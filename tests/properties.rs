@@ -61,12 +61,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Procedure 2 preserves the function of arbitrary random circuits
-    /// (checked exhaustively over all input assignments).
+    /// (checked exhaustively over all input assignments), as written in the
+    /// paper and with each extension of its search: satisfiability
+    /// don't-cares, input negation, and covers of up to three units.
     #[test]
-    fn procedure2_preserves_function(c in arb_circuit(5, 14)) {
+    fn procedure2_preserves_function(c in arb_circuit(5, 14), extension in 0..4usize) {
         let before = exhaustive_outputs(&c);
         let mut work = c.clone();
-        let opts = ResynthOptions { max_candidates_per_gate: 40, ..ResynthOptions::default() };
+        let plain = ResynthOptions { max_candidates_per_gate: 40, ..ResynthOptions::default() };
+        let opts = match extension {
+            0 => plain,
+            1 => ResynthOptions { use_satisfiability_dont_cares: true, ..plain },
+            2 => ResynthOptions { allow_input_negation: true, ..plain },
+            _ => ResynthOptions { max_cover_units: 3, ..plain },
+        };
         procedure2(&mut work, &opts).expect("verified resynthesis");
         prop_assert_eq!(exhaustive_outputs(&work), before);
         // And never increases the gate count.

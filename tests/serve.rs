@@ -71,7 +71,7 @@ fn smoke_three_jobs_one_malformed() {
     assert!(failed.contains("FROB"), "{failed}");
 
     // The resynthesized output is equivalent to the input (the daemon runs
-    // the same BDD-verified engine as `sft resynth`).
+    // the same engine as `sft resynth`).
     let alpha_in = root.join("jobs_alpha_in.bench");
     std::fs::write(&alpha_in, DEMO).unwrap();
     let eq = sft()
