@@ -230,6 +230,11 @@ fn gate_bdd(manager: &mut Manager, kind: GateKind, fanins: &[BddRef]) -> Result<
 /// Checks combinational equivalence of two circuits with the same numbers of
 /// inputs and outputs (matched by position) using a caller-provided manager.
 ///
+/// Both sides are built under [`dfs_input_order`] of `a`, which keeps the
+/// BDDs of adders, multiplexers and the resynthesized irs suite small; the
+/// witness of a [`CheckResult::Different`] is still indexed by input
+/// declaration position.
+///
 /// # Errors
 ///
 /// Returns [`BddError::NodeLimit`] on BDD blowup.
@@ -265,15 +270,24 @@ pub fn equivalent_with_manager_budgeted(
 ) -> Result<CheckResult, BddError> {
     assert_eq!(a.inputs().len(), b.inputs().len(), "input arity mismatch");
     assert_eq!(a.outputs().len(), b.outputs().len(), "output arity mismatch");
-    let fa = circuit_bdds_budgeted(manager, a, budget)?;
-    let fb = circuit_bdds_budgeted(manager, b, budget)?;
+    let var_order = dfs_input_order(a);
+    let mut outputs = |c: &Circuit| -> Result<Vec<BddRef>, BddError> {
+        let refs = circuit_node_bdds_ordered(manager, c, &var_order, budget)?;
+        Ok(c.outputs().iter().map(|o| refs[o.index()]).collect())
+    };
+    let fa = outputs(a)?;
+    let fb = outputs(b)?;
     for (slot, (&x, &y)) in fa.iter().zip(&fb).enumerate() {
         if x != y {
             let diff = manager.xor(x, y)?;
             let partial = manager.any_sat(diff).expect("differing functions differ somewhere");
+            let mut position = vec![0usize; var_order.len()];
+            for (i, &var) in var_order.iter().enumerate() {
+                position[var as usize] = i;
+            }
             let mut witness = vec![false; a.inputs().len()];
             for (var, val) in partial {
-                witness[var as usize] = val;
+                witness[position[var as usize]] = val;
             }
             return Ok(CheckResult::Different { output: slot, witness });
         }
@@ -337,6 +351,22 @@ mod tests {
                 assert_ne!(a.eval_assignment(&witness), b.eval_assignment(&witness));
             }
             CheckResult::Equivalent => panic!("AND and OR are not equivalent"),
+        }
+    }
+
+    #[test]
+    fn witness_is_in_declaration_order_under_a_permuted_variable_order() {
+        // The output reaches x2 first, so the DFS order is not the identity.
+        let src = "INPUT(x0)\nINPUT(x1)\nINPUT(x2)\nOUTPUT(y)\nt = AND(x0, x1)\ny = OR(x2, t)\n";
+        let a = parse(src, "a").unwrap();
+        let b = parse(&src.replace("y = OR(x2, t)", "y = OR(x2, x0)"), "b").unwrap();
+        assert_ne!(dfs_input_order(&a), vec![0, 1, 2]);
+        match equivalent(&a, &b).unwrap() {
+            CheckResult::Different { output, witness } => {
+                assert_eq!(output, 0);
+                assert_ne!(a.eval_assignment(&witness), b.eval_assignment(&witness));
+            }
+            CheckResult::Equivalent => panic!("x2 + x0x1 and x2 + x0 differ"),
         }
     }
 

@@ -36,9 +36,9 @@ impl From<Exhausted> for PassAbort {
 /// reason the pass had to be abandoned (the caller rolls back).
 ///
 /// Runs inside the caller's edit transaction with views enabled: path
-/// labels and the traversal order are snapshotted once at pass start (the
-/// scoring contract), while fanout facts are read live from the maintained
-/// view, which every rewire patches in place.
+/// labels and the traversal order are computed from the circuit once at
+/// pass start (the scoring contract), while fanout facts are read live
+/// from the maintained view, which every rewire patches in place.
 ///
 /// `skip[g]` replays a previous rejection at `g` without re-scoring; the
 /// caller guarantees (via [`super::commit`]'s dirty-region diff) that `g`'s
@@ -55,11 +55,8 @@ pub(super) fn one_pass(
     skip: &[bool],
     rejected: &mut [bool],
 ) -> Result<usize, PassAbort> {
-    circuit.refresh_views();
-    let (labels, order) = {
-        let views = circuit.views().expect("resynthesis runs with views enabled");
-        (views.path_labels(), views.bfs_order())
-    };
+    let labels = circuit.path_labels();
+    let order = circuit.bfs_order().expect("resynthesis runs on acyclic circuits");
     let mut marked = vec![false; circuit.len()];
     for &o in circuit.outputs() {
         marked[o.index()] = true;

@@ -99,7 +99,7 @@ impl RobustAnalysis {
 pub fn robust_detection_masks(circuit: &Circuit, waves: &[LineWaves]) -> RobustAnalysis {
     assert_eq!(waves.len(), circuit.len(), "wave vector size mismatch");
     let mut masks: Vec<Vec<u64>> = Vec::with_capacity(circuit.len());
-    for (_, node) in circuit.iter() {
+    for (id, node) in circuit.iter() {
         let kind = node.kind();
         let fanins = node.fanins();
         let mut pin_masks = vec![0u64; fanins.len()];
@@ -112,6 +112,10 @@ pub fn robust_detection_masks(circuit: &Circuit, waves: &[LineWaves]) -> RobustA
             GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor => {
                 let c = kind.controlling_value().expect("and/or family");
                 let c_mask = if c { u64::MAX } else { 0 };
+                // Every on-path line carries the transition, the gate
+                // output included: a side input that masks it detects
+                // nothing, whatever the on-path input does.
+                let out_t = waves[id.index()].transition();
                 for pin in 0..fanins.len() {
                     let on = waves[fanins[pin].index()];
                     let mut all_steady_nc = u64::MAX;
@@ -131,7 +135,8 @@ pub fn robust_detection_masks(circuit: &Circuit, waves: &[LineWaves]) -> RobustA
                     let final_nc = !(on.v2 ^ !c_mask);
                     // c -> c̄ on-path transition: side inputs steady nc.
                     // c̄ -> c: side inputs nc on final vector only.
-                    pin_masks[pin] = t & ((final_nc & all_steady_nc) | (!final_nc & all_final_nc));
+                    pin_masks[pin] =
+                        t & out_t & ((final_nc & all_steady_nc) | (!final_nc & all_final_nc));
                 }
             }
             GateKind::Xor | GateKind::Xnor => {
@@ -185,11 +190,25 @@ mod tests {
         let (r, f) = analysis.path_masks(&waves, &paths.paths()[a_path]);
         assert_eq!(r & 1, 1);
         assert_eq!(f & 1, 0);
-        // Falling a (final value controlling) with b rising late: the
-        // final-vector-only condition applies: b v2=1 suffices.
+        // Falling a with b rising: y is 0 on both vectors, so the output
+        // never transitions and nothing is detected.
         let (_, waves, analysis, paths) = analyze(src, &[true, false], &[false, true]);
         let p = &paths.paths()[a_path];
         let (r, f) = analysis.path_masks(&waves, p);
+        assert_eq!(f & 1, 0, "no output transition, no detection");
+        assert_eq!(r & 1, 0);
+    }
+
+    #[test]
+    fn falling_on_path_needs_side_nc_on_final_vector_only() {
+        // y = AND(a, t), t = OR(b, c): a falls (final value controlling)
+        // while b falls and c rises, so t is 1 on both vectors but may
+        // glitch. The final-vector-only condition applies, and y falls.
+        let src = "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\nt = OR(b, c)\ny = AND(a, t)\n";
+        let (c, waves, analysis, paths) = analyze(src, &[true, true, false], &[false, false, true]);
+        let a = c.inputs()[0];
+        let a_path = paths.iter().position(|p| p.start == a).unwrap();
+        let (r, f) = analysis.path_masks(&waves, &paths.paths()[a_path]);
         assert_eq!(f & 1, 1, "falling on-path with final nc side ok");
         assert_eq!(r & 1, 0);
     }

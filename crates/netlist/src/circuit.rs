@@ -235,12 +235,12 @@ impl NodeMap {
 /// Structural mutation can be wrapped in an edit transaction
 /// ([`begin_edit`](Self::begin_edit) / [`commit`](Self::commit) /
 /// [`rollback_to`](Self::rollback_to)) for O(#edits) rollback, and the
-/// circuit can maintain incremental derived views
+/// circuit can maintain its fanout adjacency
 /// ([`enable_views`](Self::enable_views)) instead of rebuilding fanout
-/// tables, levels and path labels per call. Neither participates in
-/// [`Clone`] or equality: a clone starts with an empty journal and no
-/// views, and two circuits compare equal on structure alone (pool layout
-/// and interning order are invisible).
+/// tables per call. Neither participates in [`Clone`] or equality: a clone
+/// starts with an empty journal and no views, and two circuits compare
+/// equal on structure alone (pool layout and interning order are
+/// invisible).
 ///
 /// # Fanin pool discipline
 ///
@@ -546,15 +546,6 @@ impl Circuit {
     /// Panics if `id` is out of range.
     pub fn fanins(&self, id: NodeId) -> &[NodeId] {
         &self.pool[self.spans[id.index()].range()]
-    }
-
-    /// The name of node `id`, if any.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn node_name(&self, id: NodeId) -> Option<&str> {
-        self.names.get(id.index())
     }
 
     /// Iterator over `(id, node)` pairs in id order.

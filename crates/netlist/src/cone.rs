@@ -6,38 +6,6 @@ use sft_truth::{TruthTable, MAX_INPUTS};
 use std::collections::HashMap;
 
 impl Circuit {
-    /// The set of gate nodes strictly between the cut `inputs` and `root`
-    /// (including `root`, excluding the cut lines themselves).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::Cone`] if some path from `root` reaches a
-    /// primary input or constant without crossing the cut — i.e. the cut
-    /// does not dominate the cone.
-    pub fn cone_gates(&self, root: NodeId, inputs: &[NodeId]) -> Result<Vec<NodeId>, NetlistError> {
-        let mut gates = Vec::new();
-        let mut seen = vec![false; self.len()];
-        let mut stack = vec![root];
-        while let Some(n) = stack.pop() {
-            if inputs.contains(&n) {
-                continue;
-            }
-            if std::mem::replace(&mut seen[n.index()], true) {
-                continue;
-            }
-            let node = self.node(n);
-            if !node.kind().is_gate() {
-                return Err(NetlistError::Cone(format!(
-                    "line {n} ({}) reached without crossing the cut",
-                    node.kind()
-                )));
-            }
-            gates.push(n);
-            stack.extend_from_slice(node.fanins());
-        }
-        Ok(gates)
-    }
-
     /// The Boolean function of line `root` in terms of the ordered cut
     /// `inputs` (input 0 is the most significant minterm bit, matching the
     /// paper's `x_1`-is-MSB convention).

@@ -16,11 +16,9 @@
 //! - cone extraction to truth tables ([`Circuit::cone_function`]), the bridge
 //!   used by comparison-function identification;
 //! - a transactional edit journal ([`Circuit::begin_edit`]) with O(#edits)
-//!   rollback, and incrementally maintained derived views
-//!   ([`Circuit::enable_views`]): fanout adjacency, levels, Procedure 1
-//!   path labels and immediate dominators over the fanout graph
-//!   ([`Circuit::immediate_dominators`]) patched per edit instead of
-//!   rebuilt per call.
+//!   rollback, and a maintained fanout adjacency with primary-output
+//!   reference counts ([`Circuit::enable_views`]) patched per edit instead
+//!   of rebuilt per call.
 //!
 //! # Examples
 //!
@@ -44,7 +42,6 @@
 pub mod bench_format;
 mod circuit;
 mod cone;
-pub mod dominators;
 mod error;
 pub mod export;
 mod gate;

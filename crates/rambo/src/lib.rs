@@ -324,6 +324,16 @@ INPUT(1)\nINPUT(2)\nINPUT(3)\nINPUT(6)\nINPUT(7)\nOUTPUT(22)\nOUTPUT(23)\n\
         assert!(report.gates_after <= report.gates_before);
     }
 
+    /// The final equivalence check fits the node limit on the largest irs
+    /// suite circuit, so the run returns `Ok` (the check passed).
+    #[test]
+    fn verifies_irs_f() {
+        let entry = sft_circuits::suite().into_iter().find(|e| e.name == "irs_f").unwrap();
+        let mut c = entry.circuit;
+        let report = optimize(&mut c, &RamboOptions::default()).expect("verified RAR run");
+        assert!(report.gates_after <= report.gates_before);
+    }
+
     #[test]
     fn removal_alone_cleans_redundant_circuit() {
         let src = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nt = AND(a, b)\ny = OR(a, t)\n";

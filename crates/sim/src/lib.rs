@@ -10,12 +10,14 @@
 //! - [`FaultSim`]/[`WideFaultSim`] — parallel-pattern single-fault
 //!   propagation by critical-path tracing: one backward sensitization sweep
 //!   per fanout-free region resolves every fault inside it, and stem
-//!   observability is gated at immediate dominators and cached per block,
-//!   so faults sharing a stem share one propagation ([`FaultSimTables`]
-//!   holds the read-only [`SoaCircuit`] precomputation so several
-//!   simulators share one copy). A brute-force faulty-machine oracle in
-//!   the crate's tests pins the masks fault by fault and pattern by
-//!   pattern;
+//!   observability is gated at immediate dominators
+//!   ([`SoaCircuit::idom`], computed once per snapshot) and cached per
+//!   block, so faults sharing a stem share one propagation
+//!   ([`FaultSimTables`] holds the read-only [`SoaCircuit`] precomputation
+//!   so several simulators share one copy). A brute-force faulty-machine
+//!   oracle in the crate's tests pins the masks fault by fault and pattern
+//!   by pattern, and a brute-force delete-a-node oracle pins the
+//!   dominators;
 //! - [`SimWord`] — the simulation word abstraction: `u64` (64 patterns per
 //!   sweep) or the auto-vectorizable 256-bit block [`W256`];
 //! - [`campaign`] — the random-pattern testability experiment driver used by

@@ -5,16 +5,54 @@
 //! sweeping 100K–1M gates millions of times. [`SoaCircuit`] is a read-only
 //! snapshot built once per fault-simulation campaign: compact `repr(u8)` gate
 //! kinds, flat `u32` fanin/fanout slabs with offset tables, the topological
-//! order, and fanout-free-region (FFR) links used for stem-grouped fault
-//! dropping. The journal/views contract of the mutable netlist is untouched —
-//! this is a derived view, rebuilt from the `Circuit` whenever a campaign
-//! starts.
+//! order, fanout-free-region (FFR) links used for stem-grouped fault
+//! dropping, and the immediate dominators that gate stem observability
+//! ([`SoaCircuit::idom`]). The journal/views contract of the mutable netlist
+//! is untouched — this is a derived view, rebuilt from the `Circuit`
+//! whenever a campaign starts.
 
 use crate::word::SimWord;
-use sft_netlist::{dominators, Circuit, GateKind};
+use sft_netlist::{Circuit, GateKind};
 
 /// Sentinel for "no node" in the flat `u32` tables.
 pub(crate) const NONE: u32 = u32::MAX;
+
+/// Dominator-pass sentinel for the virtual sink (the common observation
+/// point all primary-output slots feed).
+const SINK: u32 = u32::MAX;
+/// Dominator-pass sentinel for nodes with no path to any output: nothing
+/// dominates them because no observation path exists at all.
+const UNREACHABLE: u32 = u32::MAX - 1;
+
+/// Walks two dominator-tree fingers up to their nearest common ancestor.
+/// `pos` must order every node strictly before its immediate dominator
+/// (topological position works; the sink compares greatest).
+fn intersect(mut a: u32, mut b: u32, idom: &[u32], pos: &[u32]) -> u32 {
+    while a != b {
+        // The sink is the dominator-tree root and compares greatest.
+        if b == SINK || (a != SINK && pos[a as usize] < pos[b as usize]) {
+            a = idom[a as usize];
+        } else {
+            b = idom[b as usize];
+        }
+    }
+    a
+}
+
+/// Recomputes `idom[n]` from its successors' current immediate dominators.
+/// Successors are the distinct consumer gates plus the virtual sink when
+/// the node is referenced by a primary-output slot. Unreachable successors
+/// contribute nothing: paths through them never reach an output.
+fn recompute_idom(successors: &[u32], drives_output: bool, idom: &[u32], pos: &[u32]) -> u32 {
+    let mut new = if drives_output { SINK } else { UNREACHABLE };
+    for &s in successors {
+        if idom[s as usize] == UNREACHABLE {
+            continue;
+        }
+        new = if new == UNREACHABLE { s } else { intersect(new, s, idom, pos) };
+    }
+    new
+}
 
 /// A gate kind packed into one byte for cache-dense kind arrays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -219,10 +257,10 @@ pub struct SoaCircuit {
     pub(crate) ffr_defer: Vec<bool>,
     /// Flat FFR membership slab (node ids).
     pub(crate) ffr_members: Vec<u32>,
-    /// Immediate dominator of each node over the fanout graph
-    /// ([`Circuit::immediate_dominators`]), or [`NONE`] when the node has
-    /// no proper gate dominator — its paths diverge all the way to the
-    /// outputs, or it reaches no output at all.
+    /// Immediate dominator of each node over the fanout graph (see
+    /// [`SoaCircuit::idom`]), or [`NONE`] when the node has no proper gate
+    /// dominator — its paths diverge all the way to the outputs, or it
+    /// reaches no output at all.
     pub(crate) idom: Vec<u32>,
 }
 
@@ -452,27 +490,17 @@ impl SoaCircuit {
         // every node's fault effects, used by the critical-path-tracing
         // engine to gate stem observability regionally. One reverse
         // topological Cooper-Harvey-Kennedy pass over the deduplicated
-        // fanout slab already in hand — re-deriving the graph through
-        // `Circuit::immediate_dominators` would cost a second topological
-        // sort plus a per-node fanout allocation, a measurable slice of
-        // campaign setup on 100K-gate circuits.
-        let mut idom = vec![dominators::UNREACHABLE; n];
-        let mut key = |x: u32| (topo_pos[x as usize], 0);
+        // fanout slab.
+        let mut idom = vec![UNREACHABLE; n];
         for &id in order.iter().rev() {
             let i = id as usize;
             let (a, b) = (fanout_off[i] as usize, fanout_off[i + 1] as usize);
-            let d = dominators::recompute_idom(
-                fanouts[a..b].iter().copied(),
-                po_refs[i] > 0,
-                &idom,
-                &mut key,
-            );
-            idom[i] = d;
+            idom[i] = recompute_idom(&fanouts[a..b], po_refs[i] > 0, &idom, &topo_pos);
         }
         // Both sentinels (virtual sink, unreachable) mean "no proper gate
         // dominator" to the engine.
         for d in &mut idom {
-            if *d == dominators::SINK || *d == dominators::UNREACHABLE {
+            if *d == SINK || *d == UNREACHABLE {
                 *d = NONE;
             }
         }
@@ -529,8 +557,35 @@ impl SoaCircuit {
     }
 
     /// The immediate dominator of `node` over the fanout graph, if a
-    /// proper gate dominator exists (see
-    /// [`Circuit::immediate_dominators`]).
+    /// proper gate dominator exists.
+    ///
+    /// A node `d` *dominates* `node` when every path from `node` to any
+    /// primary-output slot passes through `d`; the immediate dominator is
+    /// the first one every such path hits — the gate through which all
+    /// fault effects at `node` must funnel. `None` when the node's paths
+    /// diverge all the way to the outputs or it reaches no output at all.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use sft_netlist::{Circuit, GateKind};
+    /// use sft_sim::SoaCircuit;
+    ///
+    /// let mut c = Circuit::new("reconv");
+    /// let a = c.add_input("a");
+    /// let b = c.add_input("b");
+    /// let g1 = c.add_gate(GateKind::And, vec![a, b])?;
+    /// let g2 = c.add_gate(GateKind::Or, vec![a, b])?;
+    /// let y = c.add_gate(GateKind::Xor, vec![g1, g2])?;
+    /// c.add_output(y, "y");
+    ///
+    /// let soa = SoaCircuit::new(&c);
+    /// // Both of a's paths reconverge at y: y is a's immediate dominator.
+    /// assert_eq!(soa.idom(a.index()), Some(y.index()));
+    /// // y drives the output directly: no proper dominator.
+    /// assert_eq!(soa.idom(y.index()), None);
+    /// # Ok::<(), sft_netlist::NetlistError>(())
+    /// ```
     pub fn idom(&self, node: usize) -> Option<usize> {
         match self.idom[node] {
             NONE => None,

@@ -212,7 +212,6 @@ fn edit_rollback_decisions_are_pinned() {
     for (entry, (name, pin)) in suite_named(&pins).iter().zip(pins) {
         let mut c = entry.circuit.clone();
         c.enable_views();
-        c.refresh_views();
         let pristine = c.clone();
         let cp = c.begin_edit();
         let edits = edit_burst(&mut c);

@@ -24,6 +24,18 @@ fn procedure2_on_comparator_improves_and_verifies() {
     c.validate().unwrap();
 }
 
+/// The BDD oracle decides Procedure 2 on every irs suite circuit, irs_f
+/// included, whose BDDs exceed the node limit under declaration order.
+#[test]
+fn procedure2_on_irs_suite_is_bdd_equivalent() {
+    for entry in sft::circuits::suite() {
+        let mut c = entry.circuit.clone();
+        procedure2(&mut c, &ResynthOptions::default()).expect("verified resynthesis");
+        let result = sft::bdd::equivalent(&entry.circuit, &c);
+        assert!(result.expect(entry.name).is_equivalent(), "{}: function changed", entry.name);
+    }
+}
+
 #[test]
 fn procedure3_on_mux_reduces_paths() {
     let original = builders::mux_tree(4);
