@@ -61,5 +61,6 @@ pub use resynth::{
     ResynthOptions, ResynthReport,
 };
 pub use sft_budget::{Budget, CancelFlag, Exhausted, StopReason};
+pub use sft_truth::MAX_INPUTS;
 pub use spec::{ComparisonSpec, SpecError};
 pub use unit::{build_standalone_unit, build_unit_in, UnitCost};

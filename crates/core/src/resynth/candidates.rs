@@ -1,10 +1,11 @@
-//! Candidate subcircuits: cone enumeration, comparison-function
-//! identification, and scoring.
+//! Candidate subcircuits: comparison-function identification and scoring
+//! of the cuts [`super::cuts`] enumerates.
 //!
 //! Everything here is read-only on the circuit. Fanout facts come from the
 //! maintained [`CircuitViews`] (exact after every edit); path labels come
 //! from the pass-start snapshot in [`ScoreCtx`].
 
+use super::cuts::Cut;
 use super::{Objective, ResynthOptions};
 use crate::cover::{comparison_cover, cover_cost};
 use crate::unit::unit_cost;
@@ -89,81 +90,27 @@ pub(super) fn pick_better(a: Candidate, b: Candidate, objective: Objective) -> C
     }
 }
 
-/// Enumerates candidate subcircuits rooted at `g`: cones grown by absorbing
-/// one fanin gate at a time, with at most `K` inputs (Section 4.1). Returns
-/// `(cone gate set, ordered input cut)` pairs; the single-gate cone is
-/// always first.
-pub(super) fn enumerate_candidates(
-    circuit: &Circuit,
-    g: NodeId,
-    options: &ResynthOptions,
-) -> Vec<(Vec<NodeId>, Vec<NodeId>)> {
-    let inputs_of = |gates: &[NodeId]| -> Vec<NodeId> {
-        let set: HashSet<NodeId> = gates.iter().copied().collect();
-        let mut inputs = Vec::new();
-        for &x in gates {
-            for &f in circuit.node(x).fanins() {
-                let kind = circuit.node(f).kind();
-                if matches!(kind, sft_netlist::GateKind::Const0 | sft_netlist::GateKind::Const1) {
-                    continue; // constants stay inside the cone
-                }
-                if !set.contains(&f) && !inputs.contains(&f) {
-                    inputs.push(f);
-                }
-            }
-        }
-        inputs
-    };
-
-    let mut seen: HashSet<Vec<NodeId>> = HashSet::new();
-    let mut result: Vec<(Vec<NodeId>, Vec<NodeId>)> = Vec::new();
-    let mut queue: Vec<Vec<NodeId>> = vec![vec![g]];
-    seen.insert(vec![g]);
-    while let Some(gates) = queue.pop() {
-        let inputs = inputs_of(&gates);
-        if inputs.len() > options.max_inputs || inputs.is_empty() {
-            continue;
-        }
-        result.push((gates.clone(), inputs.clone()));
-        if result.len() >= options.max_candidates_per_gate {
-            break;
-        }
-        for h in inputs {
-            if !circuit.node(h).kind().is_gate() {
-                continue;
-            }
-            let mut next = gates.clone();
-            next.push(h);
-            next.sort_unstable();
-            if seen.insert(next.clone()) {
-                queue.push(next);
-            }
-        }
-    }
-    result
-}
-
-/// Scores one candidate cone at `ctx.g`: extracts the cone function,
-/// identifies a comparison replacement (a unit, a negated-input unit, or a
-/// cover), and computes the gate/path deltas. Returns `Ok(None)` when the
-/// cone has no admissible replacement. The candidate keeps the cone's truth
-/// table (and the don't-cares its unit was identified with) for the check
-/// after the splice.
+/// Scores one cut of `ctx.g`: identifies a comparison replacement for its
+/// table (a unit, a negated-input unit, or a cover), and computes the
+/// gate/path deltas. Returns `Ok(None)` when the cone has no admissible
+/// replacement. The candidate keeps the cut's truth table (and the
+/// don't-cares its unit was identified with) for the check after the
+/// splice.
 ///
 /// Read-only on the circuit. Consumes one budget step (the pass's unit of
 /// work) before doing anything expensive, so a step limit bounds the
-/// scorings exactly.
+/// scorings exactly. The cone's gates are walked only once the table has a
+/// replacement.
 pub(super) fn score_candidate(
     circuit: &Circuit,
     options: &ResynthOptions,
     budget: &Budget,
     ctx: &ScoreCtx<'_>,
     sdc: Option<&mut (sft_bdd::Manager, Vec<sft_bdd::BddRef>)>,
-    gates: &[NodeId],
-    inputs: &[NodeId],
+    cut: &Cut,
 ) -> Result<Option<Candidate>, Exhausted> {
     budget.consume(1)?;
-    let Ok(truth) = circuit.cone_function(ctx.g, inputs) else { return Ok(None) };
+    let (inputs, truth) = (cut.leaves(), cut.truth());
     let dc = sdc.and_then(|(manager, per_node)| {
         reachable_dc(manager, per_node, circuit, inputs).ok().flatten()
     });
@@ -203,7 +150,8 @@ pub(super) fn score_candidate(
     };
     // Old gate cost: g itself plus the cone gates that would die.
     let views = circuit.views().expect("resynthesis runs with views enabled");
-    let removable = removable_gates(ctx.g, gates, views);
+    let gates = cone_gates(circuit, ctx.g, inputs);
+    let removable = removable_gates(ctx.g, &gates, views);
     let old_cost: u64 = removable
         .iter()
         .map(|&x| {
@@ -215,7 +163,7 @@ pub(super) fn score_candidate(
     let input_labels: Vec<u128> = inputs.iter().map(|i| ctx.labels[i.index()]).collect();
     let new_paths_at_g = cost.paths_with_labels(&input_labels);
     Ok(Some(Candidate {
-        gates: gates.to_vec(),
+        gates,
         inputs: inputs.to_vec(),
         replacement,
         gate_reduction,
@@ -223,6 +171,21 @@ pub(super) fn score_candidate(
         truth,
         dont_care,
     }))
+}
+
+/// The gates of the cone between `g` and its cut `leaves`, `g` included
+/// (constants inside the cone are not gates of it).
+pub(super) fn cone_gates(circuit: &Circuit, g: NodeId, leaves: &[NodeId]) -> Vec<NodeId> {
+    let mut gates = Vec::new();
+    let mut stack = vec![g];
+    while let Some(n) = stack.pop() {
+        if leaves.contains(&n) || gates.contains(&n) || !circuit.node(n).kind().is_gate() {
+            continue;
+        }
+        gates.push(n);
+        stack.extend_from_slice(circuit.node(n).fanins());
+    }
+    gates
 }
 
 /// The cone gates that die if `g` is rewired away from this cone: gates

@@ -1,6 +1,7 @@
 //! The pass loop: journal checkpoints, dirty-region diffing against the
 //! edit journal, and commit/rollback.
 
+use super::cuts::CutSet;
 use super::pass::{one_pass, PassAbort};
 use super::{Objective, ResynthError, ResynthOptions, ResynthReport};
 use sft_budget::{Budget, StopReason};
@@ -91,6 +92,7 @@ pub(super) fn run(
     // outside this pass's modified region: the next pass replays the
     // rejection without re-scoring.
     let mut skip: Vec<bool> = Vec::new();
+    let mut cuts = CutSet::default();
     let reason = loop {
         if report.passes >= options.max_passes {
             break StopReason::MaxPasses;
@@ -104,7 +106,8 @@ pub(super) fn run(
         // The whole pass — replacements and the simplify cleanups — is one
         // edit transaction; every abort below rolls it back in O(#edits).
         let cp = circuit.begin_edit();
-        let replacements = match one_pass(circuit, options, budget, &skip, &mut rejected) {
+        let replacements = match one_pass(circuit, options, budget, &mut cuts, &skip, &mut rejected)
+        {
             Ok(n) => n,
             Err(PassAbort::Budget(e)) => {
                 circuit.rollback_to(cp);

@@ -3,10 +3,12 @@
 //!
 //! Both procedures traverse the circuit from the primary outputs towards
 //! the primary inputs in reverse BFS (level) order. At every *marked* gate
-//! output `g` they enumerate candidate subcircuits (cones rooted at `g`
-//! with at most `K` inputs), keep those whose function at `g` is a
-//! comparison function, and score replacing them with the corresponding
-//! comparison unit:
+//! output `g` they take the candidate subcircuits rooted at `g` — its
+//! K-feasible cuts, the cones with at most `K` inputs, built bottom-up
+//! with their truth tables once per pass and visited in priority order
+//! (fewest inputs first, then ascending input ids) — keep those whose
+//! function at `g` is a comparison function, and score replacing them with
+//! the corresponding comparison unit:
 //!
 //! - **Procedure 2** maximizes the reduction in equivalent 2-input gates,
 //!   breaking ties by the number of paths at `g`. Gates of the old cone
@@ -41,7 +43,9 @@
 //!
 //! The implementation is split along the transactional seams:
 //!
-//! - [`candidates`](self) — cone enumeration, identification, and scoring
+//! - [`cuts`](self) — the K-feasible cuts of every gate and their truth
+//!   tables, enumerated at pass start (read-only on the circuit);
+//! - [`candidates`](self) — identification and scoring of a gate's cuts
 //!   (read-only on the circuit);
 //! - [`pass`](self) — one output-to-input traversal applying accepted
 //!   replacements through journaled edits, each checked against its cone;
@@ -50,6 +54,9 @@
 
 mod candidates;
 mod commit;
+mod cuts;
+#[cfg(test)]
+mod oracle;
 mod pass;
 
 use sft_budget::{Budget, StopReason};
@@ -79,9 +86,14 @@ pub enum Objective {
 /// Options controlling the resynthesis procedures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResynthOptions {
-    /// The input limit `K` of candidate subcircuits (the paper uses 5–7).
+    /// The input limit `K` of candidate subcircuits (the paper uses 5–7),
+    /// in `1..=`[`sft_truth::MAX_INPUTS`]; resynthesis rejects any other
+    /// value with [`ResynthError::MaxInputs`].
     pub max_inputs: usize,
-    /// Cap on candidate subcircuits enumerated per gate output.
+    /// Cap on the cuts kept per node: every node keeps at most this many
+    /// cuts, the first in priority order (fewest inputs first, then
+    /// ascending input ids), and the cap is applied after each fanin is
+    /// folded in (`0` acts as `1`). A gate's candidates are its cuts.
     pub max_candidates_per_gate: usize,
     /// The optimization objective.
     pub objective: Objective,
@@ -128,13 +140,16 @@ impl Default for ResynthOptions {
 
 /// Errors from resynthesis.
 ///
-/// Only genuinely unrecoverable conditions are errors: a circuit that fails
-/// validation (or a structural edit that cannot be applied). Recoverable
-/// interruptions — a replacement that fails its check, budget exhaustion,
-/// cancellation — roll back to the last committed circuit and are reported
-/// through [`ResynthReport::stop_reason`] instead.
+/// Only genuinely unrecoverable conditions are errors: an input limit out
+/// of range, a circuit that fails validation (or a structural edit that
+/// cannot be applied). Recoverable interruptions — a replacement that fails
+/// its check, budget exhaustion, cancellation — roll back to the last
+/// committed circuit and are reported through
+/// [`ResynthReport::stop_reason`] instead.
 #[derive(Debug)]
 pub enum ResynthError {
+    /// [`ResynthOptions::max_inputs`] is outside `1..=`[`sft_truth::MAX_INPUTS`].
+    MaxInputs(usize),
     /// The circuit failed validation before or during resynthesis.
     Netlist(sft_netlist::NetlistError),
 }
@@ -142,6 +157,9 @@ pub enum ResynthError {
 impl fmt::Display for ResynthError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            ResynthError::MaxInputs(k) => {
+                write!(f, "max_inputs (K) is {k}, outside 1..={}", sft_truth::MAX_INPUTS)
+            }
             ResynthError::Netlist(e) => write!(f, "netlist error: {e}"),
         }
     }
@@ -251,19 +269,24 @@ pub fn resynthesize(
 ///
 /// # Errors
 ///
-/// Returns [`ResynthError::Netlist`] only for invalid input circuits or
-/// internal structural failures; never for interruptions.
+/// Returns [`ResynthError::MaxInputs`] when `K` is outside
+/// `1..=`[`sft_truth::MAX_INPUTS`] (the circuit is left untouched), and
+/// [`ResynthError::Netlist`] for invalid input circuits or internal
+/// structural failures; never for interruptions.
 pub fn resynthesize_with_budget(
     circuit: &mut Circuit,
     options: &ResynthOptions,
     budget: &Budget,
 ) -> Result<ResynthReport, ResynthError> {
+    if !(1..=sft_truth::MAX_INPUTS).contains(&options.max_inputs) {
+        return Err(ResynthError::MaxInputs(options.max_inputs));
+    }
     commit::run(circuit, options, budget, true)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::candidates::{enumerate_candidates, removable_gates};
+    use super::candidates::removable_gates;
     use super::pass::matches_cone;
     use super::*;
     use sft_netlist::bench_format::parse;
@@ -351,24 +374,6 @@ INPUT(1)\nINPUT(2)\nINPUT(3)\nINPUT(6)\nINPUT(7)\nOUTPUT(22)\nOUTPUT(23)\n\
     }
 
     #[test]
-    fn candidate_enumeration_respects_k() {
-        let src = "\
-INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nINPUT(e)\nINPUT(f)\nOUTPUT(y)\n\
-t1 = AND(a, b)\nt2 = AND(c, d)\nt3 = AND(e, f)\nt4 = AND(t1, t2)\ny = AND(t4, t3)\n";
-        let c = parse(src, "wide").unwrap();
-        let y = c.outputs()[0];
-        let opts = ResynthOptions { max_inputs: 4, ..ResynthOptions::default() };
-        let candidates = enumerate_candidates(&c, y, &opts);
-        assert!(candidates.iter().all(|(_, inputs)| inputs.len() <= 4));
-        // The single-gate candidate is present.
-        assert!(candidates.iter().any(|(gates, _)| gates.len() == 1));
-        // With K=6 the full cone is reachable.
-        let opts6 = ResynthOptions { max_inputs: 6, ..ResynthOptions::default() };
-        let candidates6 = enumerate_candidates(&c, y, &opts6);
-        assert!(candidates6.iter().any(|(gates, _)| gates.len() == 5));
-    }
-
-    #[test]
     fn removable_excludes_shared_gates() {
         // t1 fans out to y and z: replacing y's cone cannot remove t1.
         let src = "\
@@ -381,6 +386,23 @@ t1 = AND(a, b)\ny = OR(t1, c)\nz = NOT(t1)\n";
         let removable = removable_gates(y, &[y, t1], c.views().unwrap());
         assert!(!removable.contains(&t1), "shared gate must not be counted removable");
         assert!(removable.contains(&y));
+    }
+
+    /// K outside 1..=7 is an error, and the circuit is left untouched.
+    #[test]
+    fn k_outside_the_table_range_is_rejected() {
+        let original = budget_fixture();
+        for k in [0, 8, 12] {
+            let mut c = original.clone();
+            let opts = ResynthOptions { max_inputs: k, ..ResynthOptions::default() };
+            let err = resynthesize(&mut c, &opts).unwrap_err();
+            assert!(matches!(err, ResynthError::MaxInputs(got) if got == k), "{err}");
+            assert_eq!(c, original);
+        }
+        for k in [1, sft_truth::MAX_INPUTS] {
+            let opts = ResynthOptions { max_inputs: k, ..ResynthOptions::default() };
+            assert!(resynthesize(&mut original.clone(), &opts).is_ok());
+        }
     }
 
     /// Resynthesis leaves no residue on the circuit: views are detached and

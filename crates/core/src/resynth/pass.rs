@@ -2,9 +2,9 @@
 //! accepted replacements through journaled edits on the live circuit.
 
 use super::candidates::{
-    combined_score, enumerate_candidates, pick_better, removable_gates, score_candidate, Candidate,
-    Replacement, ScoreCtx,
+    combined_score, pick_better, removable_gates, score_candidate, Candidate, Replacement, ScoreCtx,
 };
+use super::cuts::CutSet;
 use super::{Objective, ResynthOptions};
 use crate::unit::build_unit_in;
 use sft_budget::{Budget, Exhausted};
@@ -35,10 +35,14 @@ impl From<Exhausted> for PassAbort {
 /// One output-to-input pass. Returns the number of replacements, or the
 /// reason the pass had to be abandoned (the caller rolls back).
 ///
-/// Runs inside the caller's edit transaction with views enabled: path
-/// labels and the traversal order are computed from the circuit once at
-/// pass start (the scoring contract), while fanout facts are read live
-/// from the maintained view, which every rewire patches in place.
+/// Runs inside the caller's edit transaction with views enabled. At pass
+/// start the circuit is sorted once, into the level order: the path labels
+/// and every gate's cuts (into `cuts`) are computed walking it forward,
+/// and the traversal walks it backward. Labels and cuts stay valid for the
+/// whole pass (the scoring contract): a gate's cuts depend only on its
+/// transitive fanin, and the reverse level order never visits a gate after
+/// one in its fanin cone was rewired. Fanout facts are read live from the
+/// maintained view, which every rewire patches in place.
 ///
 /// `skip[g]` replays a previous rejection at `g` without re-scoring; the
 /// caller guarantees (via [`super::commit`]'s dirty-region diff) that `g`'s
@@ -52,11 +56,13 @@ pub(super) fn one_pass(
     circuit: &mut Circuit,
     options: &ResynthOptions,
     budget: &Budget,
+    cuts: &mut CutSet,
     skip: &[bool],
     rejected: &mut [bool],
 ) -> Result<usize, PassAbort> {
-    let labels = circuit.path_labels();
     let order = circuit.bfs_order().expect("resynthesis runs on acyclic circuits");
+    let labels = circuit.path_labels_in(&order);
+    cuts.enumerate(circuit, &order, options.max_inputs, options.max_candidates_per_gate, budget)?;
     let mut marked = vec![false; circuit.len()];
     for &o in circuit.outputs() {
         marked[o.index()] = true;
@@ -102,12 +108,10 @@ pub(super) fn one_pass(
             }
             continue;
         }
-        let candidates = enumerate_candidates(circuit, g, options);
         let ctx = ScoreCtx { g, labels: &labels };
         let mut best: Option<Candidate> = None;
-        for (gates, inputs) in &candidates {
-            let scored =
-                score_candidate(circuit, options, budget, &ctx, dc_state.as_mut(), gates, inputs);
+        for cut in cuts.of(g).filter(|cut| !cut.leaves().is_empty()) {
+            let scored = score_candidate(circuit, options, budget, &ctx, dc_state.as_mut(), &cut);
             if let Some(candidate) = scored? {
                 best = Some(match best {
                     None => candidate,
@@ -127,6 +131,12 @@ pub(super) fn one_pass(
         });
         if accept {
             let b = best.expect("accept implies candidate");
+            // The table came from the cut merge; the cone it replaces must
+            // have it too, so the check after the splice compares with the
+            // old cone itself.
+            if circuit.cone_function(g, &b.inputs).ok() != Some(b.truth) {
+                return Err(PassAbort::Mismatch);
+            }
             // Mark the dying cone gates as consumed *before* rewiring (the
             // removable set is computed against the pre-rewire structure).
             let removable = {

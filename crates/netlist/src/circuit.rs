@@ -25,7 +25,7 @@ impl NodeId {
 
     /// Builds a `NodeId` from a raw index (no validation; out-of-range ids
     /// are rejected by circuit methods that receive them).
-    pub fn from_index(index: usize) -> Self {
+    pub const fn from_index(index: usize) -> Self {
         NodeId(index as u32)
     }
 }

@@ -52,8 +52,8 @@ impl Circuit {
         // Evaluate the cone over all 2^k cut assignments using word-parallel
         // simulation: with k <= 7 all 128 minterms fit in two u64 words.
         // The walk is cone-local (memoized DFS), so the cost is proportional
-        // to the cone size, not the circuit size — this is the hot path of
-        // the resynthesis candidate search.
+        // to the cone size, not the circuit size. Resynthesis calls it once
+        // per replacement, to check the splice.
         let k = inputs.len();
         let minterms = 1u64 << k;
         let words = minterms.div_ceil(64) as usize;

@@ -7,7 +7,7 @@
 //! its stem's label (implicit in the DAG representation). The total number
 //! of paths of the circuit is the sum of the primary-output labels.
 
-use crate::{Circuit, GateKind};
+use crate::{Circuit, GateKind, NodeId};
 use std::fmt;
 
 /// A path count that remembers whether it overflowed `u128`.
@@ -102,9 +102,14 @@ impl Circuit {
     ///
     /// Panics if the circuit is cyclic.
     pub fn path_labels_exact(&self) -> Vec<PathCount> {
-        let order = self.topo_order().expect("combinational circuit");
+        self.path_labels_exact_in(&self.topo_order().expect("combinational circuit"))
+    }
+
+    /// [`path_labels_exact`](Self::path_labels_exact) walking `order`, a
+    /// topological order of every node.
+    fn path_labels_exact_in(&self, order: &[NodeId]) -> Vec<PathCount> {
         let mut labels = vec![PathCount::ZERO; self.len()];
-        for id in order {
+        for &id in order {
             let node = self.node(id);
             labels[id.index()] = match node.kind() {
                 GateKind::Input => PathCount::exact(1),
@@ -127,6 +132,13 @@ impl Circuit {
     /// Panics if the circuit is cyclic.
     pub fn path_labels(&self) -> Vec<u128> {
         self.path_labels_exact().into_iter().map(PathCount::value).collect()
+    }
+
+    /// [`path_labels`](Self::path_labels) computed walking `order`, which
+    /// must be a topological order of every node (such as
+    /// [`bfs_order`](Self::bfs_order)), for callers that already hold one.
+    pub fn path_labels_in(&self, order: &[NodeId]) -> Vec<u128> {
+        self.path_labels_exact_in(order).into_iter().map(PathCount::value).collect()
     }
 
     /// Total number of input-to-output paths (Procedure 1, Step 5): the sum
@@ -273,8 +285,10 @@ mod tests {
         assert!(total.is_saturated());
         assert_eq!(total.value(), u128::MAX);
         assert_eq!(format!("{total}"), format!("{}+", u128::MAX));
-        // The clamped u128 view is still the lower bound.
+        // The clamped u128 view is still the lower bound, along any
+        // topological order.
         assert_eq!(c.path_count(), u128::MAX);
+        assert_eq!(c.path_labels_in(&c.bfs_order().unwrap()), c.path_labels());
         // An unsaturated circuit stays exact.
         let exact = PathCount::exact(9);
         assert!(!exact.is_saturated());

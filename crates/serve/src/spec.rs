@@ -15,7 +15,7 @@
 //! are **typed errors** ([`SpecError`]) — a daemon parses untrusted files,
 //! so nothing in this module panics on any input.
 
-use sft_core::{Objective, ResynthOptions};
+use sft_core::{Objective, ResynthOptions, MAX_INPUTS};
 use std::fmt;
 use std::time::Duration;
 
@@ -56,7 +56,8 @@ pub enum Chaos {
 pub struct JobSpec {
     /// `objective = gates | paths | combined:<gw>,<pw>`.
     pub objective: Option<Objective>,
-    /// `max_inputs = <K>` — the cone input limit (the paper's `K`).
+    /// `max_inputs = <K>` — the cone input limit (the paper's `K`), in
+    /// `1..=`[`MAX_INPUTS`].
     pub max_inputs: Option<usize>,
     /// `max_passes = <N>`.
     pub max_passes: Option<usize>,
@@ -152,8 +153,8 @@ pub fn parse_spec(text: &str) -> Result<JobSpec, SpecError> {
             "max_inputs" => {
                 let k: usize =
                     value.parse().map_err(|_| bad(lineno, format!("bad max_inputs {value:?}")))?;
-                if !(1..=16).contains(&k) {
-                    return Err(bad(lineno, format!("max_inputs {k} outside 1..=16")));
+                if !(1..=MAX_INPUTS).contains(&k) {
+                    return Err(bad(lineno, format!("max_inputs {k} outside 1..={MAX_INPUTS}")));
                 }
                 spec.max_inputs = Some(k);
             }
@@ -210,6 +211,7 @@ chaos = sleep:25
         let spec = parse_spec(text).unwrap();
         assert_eq!(spec.objective, Some(Objective::Combined { gate_weight: 2, path_weight: 3 }));
         assert_eq!(spec.max_inputs, Some(6));
+        assert_eq!(parse_spec("max_inputs = 7").unwrap().max_inputs, Some(MAX_INPUTS));
         assert_eq!(spec.max_passes, Some(4));
         assert_eq!(spec.time_limit, Some(Duration::from_millis(1500)));
         assert_eq!(spec.step_limit, Some(99));
@@ -230,6 +232,7 @@ chaos = sleep:25
             ("objective = combined:a,b", "gate weight"),
             ("max_inputs = 0", "outside"),
             ("max_inputs = 99", "outside"),
+            ("max_inputs = 8", "outside 1..=7"),
             ("max_inputs = five", "bad max_inputs"),
             ("max_passes = 0", "at least 1"),
             ("time_limit_ms = -3", "bad time_limit_ms"),

@@ -30,4 +30,4 @@ mod cube;
 mod table;
 
 pub use cube::{Cube, CubeList, Literal};
-pub use table::{TruthError, TruthTable, MAX_INPUTS};
+pub use table::{TruthError, TruthTable, LOW_HALVES, MAX_INPUTS};

@@ -5,6 +5,19 @@ use std::fmt;
 /// `2^7 = 128` minterms fit exactly in a `u128`.
 pub const MAX_INPUTS: usize = 7;
 
+/// For each minterm bit `b`, the minterms whose bit `b` is 0: alternating
+/// blocks of `2^b` ones and `2^b` zeros, ones at bit 0. Bit `b` is the
+/// value of input `inputs - 1 - b`.
+pub const LOW_HALVES: [u128; MAX_INPUTS] = [
+    0x5555_5555_5555_5555_5555_5555_5555_5555,
+    0x3333_3333_3333_3333_3333_3333_3333_3333,
+    0x0F0F_0F0F_0F0F_0F0F_0F0F_0F0F_0F0F_0F0F,
+    0x00FF_00FF_00FF_00FF_00FF_00FF_00FF_00FF,
+    0x0000_FFFF_0000_FFFF_0000_FFFF_0000_FFFF,
+    0x0000_0000_FFFF_FFFF_0000_0000_FFFF_FFFF,
+    0x0000_0000_0000_0000_FFFF_FFFF_FFFF_FFFF,
+];
+
 /// Error type for truth-table construction and manipulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TruthError {
@@ -309,12 +322,10 @@ impl TruthTable {
         if input >= self.inputs() {
             return Err(TruthError::InputOutOfRange { input, inputs: self.inputs() });
         }
-        let bitpos = self.inputs() - 1 - input;
-        let t = Self::from_fn(self.inputs(), |m| {
-            let forced = if value { m | 1 << bitpos } else { m & !(1 << bitpos) };
-            self.value(forced)
-        });
-        Ok(t)
+        let b = self.inputs() - 1 - input;
+        let (shift, low) = (1u32 << b, LOW_HALVES[b]);
+        let half = if value { self.bits >> shift & low } else { self.bits & low };
+        Ok(TruthTable { inputs: self.inputs, bits: half | half << shift })
     }
 
     /// Reorders the inputs: `perm[i]` is the original input placed at
@@ -372,8 +383,10 @@ impl TruthTable {
         if input >= self.inputs() {
             return Err(TruthError::InputOutOfRange { input, inputs: self.inputs() });
         }
-        let bit = 1u64 << (self.inputs() - 1 - input);
-        Ok(Self::from_fn(self.inputs(), |m| self.value(m ^ bit)))
+        let b = self.inputs() - 1 - input;
+        let (shift, low) = (1u32 << b, LOW_HALVES[b]);
+        let bits = (self.bits & low) << shift | self.bits >> shift & low;
+        Ok(TruthTable { inputs: self.inputs, bits })
     }
 
     /// Extends the function with `extra` fresh (ignored) inputs appended as
@@ -502,6 +515,32 @@ mod tests {
         // Flipping an independent input changes nothing.
         assert_eq!(x1.flip_input(2).unwrap(), x1);
         assert!(x1.flip_input(3).is_err());
+    }
+
+    /// The word-operation cofactor and flip agree with their per-minterm
+    /// definitions on every input of random tables of every size.
+    #[test]
+    fn cofactor_and_flip_match_minterm_definitions() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for n in 1..=MAX_INPUTS {
+            for _ in 0..200 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let f = TruthTable::from_bits(n, u128::from(state) << 64 | u128::from(!state));
+                for input in 0..n {
+                    let bit = 1u64 << (n - 1 - input);
+                    for value in [false, true] {
+                        let forced = TruthTable::from_fn(n, |m| {
+                            f.value(if value { m | bit } else { m & !bit })
+                        });
+                        assert_eq!(f.cofactor(input, value).unwrap(), forced);
+                    }
+                    let flipped = TruthTable::from_fn(n, |m| f.value(m ^ bit));
+                    assert_eq!(f.flip_input(input).unwrap(), flipped);
+                }
+            }
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! and `stitch` (`--copies N` XOR-checksummed random cores, same shape
 //! options per core). Generation is deterministic in the parameters.
 //!
-//! Resynthesis options: `--objective gates|paths|combined`, `--k N`,
+//! Resynthesis options: `--objective gates|paths|combined`, `--k N` (1–7),
 //! `--negation`, `--covers N`, `--dont-cares`.
 //!
 //! Every subcommand rejects, by name, a `--` option it does not read.
@@ -62,6 +62,7 @@ use sft::io::{Format, WriteOptions};
 use sft::netlist::{export, Circuit};
 use sft::par::Jobs;
 use sft::techmap::{map_circuit, Library};
+use sft::truth::MAX_INPUTS;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -294,9 +295,13 @@ fn run() -> Result<(), String> {
                 Some("combined") => Objective::Combined { gate_weight: 1, path_weight: 1 },
                 Some(other) => return Err(format!("unknown objective {other:?}")),
             };
+            let k = num(rest, "--k", 5)?;
+            if !(1..=MAX_INPUTS).contains(&k) {
+                return Err(format!("--k {k}: outside 1..={MAX_INPUTS}"));
+            }
             let opts = ResynthOptions {
                 objective,
-                max_inputs: num(rest, "--k", 5)?,
+                max_inputs: k,
                 allow_input_negation: flag(rest, "--negation"),
                 max_cover_units: num(rest, "--covers", 1)?,
                 use_satisfiability_dont_cares: flag(rest, "--dont-cares"),

@@ -238,12 +238,27 @@ fn numeric_options_reject_garbage_values() {
         (vec!["resynth", input, output, "--k", "six"], "--k"),
         (vec!["resynth", input, output, "--covers", "two"], "--covers"),
         (vec!["resynth", input, output, "--k"], "--k"),
+        (vec!["resynth", input, output, "--k", "0"], "--k 0: outside 1..=7"),
+        (vec!["resynth", input, output, "--k", "8"], "--k 8: outside 1..=7"),
+        (vec!["resynth", input, output, "--k", "12"], "--k 12: outside 1..=7"),
         (vec!["pdf", input, "--pairs", "many"], "--pairs"),
     ] {
         let out = sft().args(&args).output().expect("spawn");
         assert!(!out.status.success(), "{args:?}: {out:?}");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains(option), "{args:?}: {err}");
+    }
+}
+
+/// Both ends of the cut engine's range of K are accepted.
+#[test]
+fn resynth_accepts_k_1_and_7() {
+    let input = write_bench("k_range_in.bench", DEMO);
+    let output = write_bench("k_range_out.bench", "");
+    let (input, output) = (input.to_str().unwrap(), output.to_str().unwrap());
+    for k in ["1", "7"] {
+        let out = sft().args(["resynth", input, output, "--k", k]).output().expect("spawn");
+        assert!(out.status.success(), "--k {k}: {out:?}");
     }
 }
 

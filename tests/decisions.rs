@@ -70,6 +70,23 @@ fn resynthesis_decisions_are_pinned() {
     }
 }
 
+/// Procedure 2 at K = 6 and 7 (64- and 128-bit cut tables, 6- and 7-input
+/// identification) on four stitched cores of the `sft gen stitch` shape.
+#[test]
+fn wide_cut_resynthesis_decisions_are_pinned() {
+    // (K, replacements, gates_after, paths_after)
+    let pins = [(6, 238, 476, 9393), (7, 249, 441, 8864)];
+    let core = RandomCircuitConfig { inputs: 32, outputs: 16, gates: 260, window: 56, seed: 1 };
+    let original = gen::stitched(4, &core);
+    for pin in pins {
+        let mut c = original.clone();
+        let opts = ResynthOptions { max_inputs: pin.0, ..Default::default() };
+        let r = procedure2(&mut c, &opts).expect("resynthesis verifies");
+        let decided = (pin.0, r.replacements, r.gates_after, r.paths_after.value());
+        assert_eq!(decided, pin, "K = {}: resynthesis decisions drifted", pin.0);
+    }
+}
+
 /// Random stuck-at campaigns: 4,096 patterns, seed `0x5f7`, no plateau stop.
 #[test]
 fn campaign_decisions_are_pinned() {
