@@ -93,6 +93,9 @@ pub(super) fn run(
     // rejection without re-scoring.
     let mut skip: Vec<bool> = Vec::new();
     let mut cuts = CutSet::default();
+    // The path count at the start of the pass, read only by the `Paths`
+    // and `Combined` objectives: each pass's closing count opens the next.
+    let mut paths = report.paths_before.value();
     let reason = loop {
         if report.passes >= options.max_passes {
             break StopReason::MaxPasses;
@@ -101,7 +104,6 @@ pub(super) fn run(
             break e.into();
         }
         let before_gates = circuit.two_input_gate_count();
-        let before_paths = circuit.path_count();
         let mut rejected = vec![false; circuit.len()];
         // The whole pass — replacements and the simplify cleanups — is one
         // edit transaction; every abort below rolls it back in O(#edits).
@@ -144,11 +146,13 @@ pub(super) fn run(
         }
         report.passes += 1;
         report.replacements += replacements;
+        let fewer_gates = || circuit.two_input_gate_count() < before_gates;
         let improved = match options.objective {
-            Objective::Gates => circuit.two_input_gate_count() < before_gates,
-            Objective::Paths => circuit.path_count() < before_paths,
-            Objective::Combined { .. } => {
-                circuit.two_input_gate_count() < before_gates || circuit.path_count() < before_paths
+            Objective::Gates => fewer_gates(),
+            objective => {
+                let before_paths = std::mem::replace(&mut paths, circuit.path_count());
+                paths < before_paths
+                    || (matches!(objective, Objective::Combined { .. }) && fewer_gates())
             }
         };
         if replacements == 0 || !improved {

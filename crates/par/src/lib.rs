@@ -19,7 +19,6 @@
 //!   pure function of `(seed, b)`, so a worker simulating block `b`
 //!   regenerates exactly the patterns the single-threaded loop would have
 //!   drawn, regardless of which other blocks run concurrently.
-//! - [`Admission`] — the serve daemon's bounded admission gate.
 //!
 //! Determinism contract: the PDF campaign produces bit-identical results
 //! at `--jobs 1` and `--jobs N`. [`parallel_map`] guarantees order,
@@ -39,7 +38,6 @@
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// The number of worker threads an engine may use.
 ///
@@ -173,71 +171,6 @@ where
     slots.into_iter().map(|r| r.expect("every index is produced exactly once")).collect()
 }
 
-/// A bounded admission gate: at most `capacity` permits are outstanding at
-/// once. The service layer uses one on top of the [`Jobs`] knob to bound
-/// accepted-but-unfinished work — when [`try_acquire`](Self::try_acquire)
-/// returns `None` the caller *sheds load* (rejects the request with an
-/// explicit outcome) instead of queueing unboundedly.
-///
-/// Permits are RAII: dropping an [`AdmissionPermit`] releases its slot.
-/// The gate is poison-tolerant — a thread that panics while holding the internal lock
-/// (impossible through this API, but cheap to defend) does not wedge
-/// admission for everyone else.
-#[derive(Debug)]
-pub struct Admission {
-    capacity: usize,
-    in_flight: Mutex<usize>,
-}
-
-impl Admission {
-    /// A gate admitting at most `capacity` concurrent holders (minimum 1).
-    pub fn new(capacity: usize) -> Self {
-        Admission { capacity: capacity.max(1), in_flight: Mutex::new(0) }
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Permits currently outstanding.
-    pub fn in_flight(&self) -> usize {
-        *self.lock()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, usize> {
-        self.in_flight.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    /// Takes a permit if one is free; `None` means the gate is saturated
-    /// and the caller should shed the request.
-    pub fn try_acquire(&self) -> Option<AdmissionPermit<'_>> {
-        let mut held = self.lock();
-        if *held >= self.capacity {
-            return None;
-        }
-        *held += 1;
-        Some(AdmissionPermit { gate: self })
-    }
-
-    fn release(&self) {
-        let mut held = self.lock();
-        *held = held.saturating_sub(1);
-    }
-}
-
-/// An outstanding [`Admission`] slot; dropping it frees the slot.
-#[derive(Debug)]
-pub struct AdmissionPermit<'a> {
-    gate: &'a Admission,
-}
-
-impl Drop for AdmissionPermit<'_> {
-    fn drop(&mut self) {
-        self.gate.release();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,44 +224,6 @@ mod tests {
         assert_ne!(derive_seed(42, 0), derive_seed(43, 0));
         // Stream 0 must not collapse to the raw seed.
         assert_ne!(derive_seed(42, 0), 42);
-    }
-
-    #[test]
-    fn admission_bounds_outstanding_permits() {
-        let gate = Admission::new(2);
-        assert_eq!(gate.capacity(), 2);
-        let a = gate.try_acquire().expect("slot 1");
-        let b = gate.try_acquire().expect("slot 2");
-        assert!(gate.try_acquire().is_none(), "saturated gate must shed");
-        assert_eq!(gate.in_flight(), 2);
-        drop(a);
-        let c = gate.try_acquire().expect("freed slot is reusable");
-        assert_eq!(gate.in_flight(), 2);
-        drop(b);
-        drop(c);
-        assert_eq!(gate.in_flight(), 0);
-    }
-
-    #[test]
-    fn admission_capacity_zero_is_clamped_to_one() {
-        let gate = Admission::new(0);
-        assert_eq!(gate.capacity(), 1);
-        let permit = gate.try_acquire().expect("one slot");
-        assert!(gate.try_acquire().is_none());
-        drop(permit);
-    }
-
-    #[test]
-    fn admission_survives_panicking_holders() {
-        let gate = Admission::new(1);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _permit = gate.try_acquire().expect("one slot");
-            panic!("holder dies");
-        }));
-        assert!(result.is_err());
-        // The permit was released during unwind; the gate is not wedged.
-        assert_eq!(gate.in_flight(), 0);
-        drop(gate.try_acquire().expect("slot free after panic"));
     }
 
     #[test]

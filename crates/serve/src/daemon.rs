@@ -27,12 +27,13 @@
 //! # Isolation and degradation
 //!
 //! Each job runs under `catch_unwind`: a panicking engine produces a
-//! `panicked` report for *that job* and the daemon keeps serving. Admission
-//! control bounds concurrent work to the `--jobs` knob with a bounded wait
-//! queue on top; jobs beyond both are shed with an explicit `overloaded`
-//! outcome rather than queued without bound. Transient failures (unreadable
-//! files mid-drop) are retried with linear backoff up to a per-job attempt
-//! cap, then reported terminally.
+//! `panicked` report for *that job* and the daemon keeps serving. A fixed
+//! pool of `--jobs` worker threads runs the jobs; the main loop claims a
+//! job only for a free worker and wakes as soon as one finishes. Admission
+//! control puts a bounded wait queue on top: jobs beyond both are shed with
+//! an explicit `overloaded` outcome rather than queued without bound.
+//! Transient failures (unreadable files mid-drop) are retried with linear
+//! backoff up to a per-job attempt cap, then reported terminally.
 //!
 //! # Shutdown
 //!
@@ -48,12 +49,13 @@ use crate::spec::{parse_spec, Chaos};
 use sft_budget::{Budget, CancelFlag};
 use sft_core::{resynthesize_with_budget, ResynthReport};
 use sft_io::{Format, WriteOptions};
-use sft_par::{Admission, Jobs};
+use sft_par::Jobs;
 use std::collections::HashMap;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -64,7 +66,7 @@ use std::time::{Duration, Instant};
 pub struct ServeConfig {
     /// Root directory; the daemon owns `<root>/jobs/*`.
     pub root: PathBuf,
-    /// Concurrent jobs (the admission capacity).
+    /// Worker threads in the pool: the most jobs in flight at once.
     pub jobs: Jobs,
     /// Jobs allowed to wait in `incoming/` once all slots are busy before
     /// new arrivals are shed with an `overloaded` outcome.
@@ -83,7 +85,9 @@ pub struct ServeConfig {
     pub max_attempts: u32,
     /// Base backoff between attempts (linear: `attempt * backoff`).
     pub retry_backoff: Duration,
-    /// Scan interval of the main loop.
+    /// The longest the main loop waits for a job to finish before it scans
+    /// `incoming/` again (a finished job wakes it at once), and so the
+    /// longest a new submission waits for a free worker to be noticed.
     pub poll: Duration,
     /// Period of the stats line.
     pub stats_every: Duration,
@@ -417,7 +421,7 @@ fn write_report(dir: &Path, stem: &str, report: &JobReport) {
 }
 
 /// Drives one claimed job to a terminal state (or back to `incoming/` for
-/// another attempt). Runs on a worker thread holding an admission permit.
+/// another attempt). Runs on a pool worker.
 fn process(ctx: Ctx<'_>, stem: &str, attempt: u32) {
     let t0 = Instant::now();
     let result = run_attempt(ctx, stem, attempt);
@@ -487,6 +491,30 @@ fn shed(ctx: Ctx<'_>, stem: &str) {
     ctx.counters.shed.fetch_add(1, Ordering::Relaxed);
 }
 
+/// The payload of a panic that unwound out of [`process`].
+type PanicPayload = Box<dyn std::any::Any + Send>;
+
+/// One pool worker: runs each claimed `(stem, attempt)` it receives and
+/// reports its completion, with the payload of a panic that escaped `run`
+/// (past the engine's own `catch_unwind`). So such a panic neither ends the
+/// worker nor leaves the job counted in flight. Returns when the job
+/// channel closes.
+fn worker(
+    jobs: &Mutex<Receiver<(String, u32)>>,
+    finished: &Sender<Option<PanicPayload>>,
+    run: impl Fn(&str, u32),
+) {
+    loop {
+        // The lock is held only while waiting for the next job.
+        let next = jobs.lock().expect("no worker panics holding the job receiver").recv();
+        let Ok((stem, attempt)) = next else { return };
+        let panicked = catch_unwind(AssertUnwindSafe(|| run(&stem, attempt))).err();
+        if finished.send(panicked).is_err() {
+            return;
+        }
+    }
+}
+
 /// Runs the daemon until drained (`once`) or signalled. See the module
 /// docs for the lifecycle; returns the final counter snapshot.
 ///
@@ -505,9 +533,9 @@ pub fn serve(config: &ServeConfig) -> io::Result<ServeSummary> {
     let counters = Counters::default();
     let adopted = adopt_orphans(&dirs)?;
     if adopted > 0 {
-        println!("serve: re-adopted {adopted} orphaned job file(s) from running/");
+        eprintln!("serve: re-adopted {adopted} orphaned job file(s) from running/");
     }
-    println!(
+    eprintln!(
         "serve: watching {} (jobs={}, queue={}{})",
         dirs.incoming.display(),
         config.jobs.get(),
@@ -515,12 +543,25 @@ pub fn serve(config: &ServeConfig) -> io::Result<ServeSummary> {
         if config.once { ", once" } else { "" }
     );
 
-    let admission = Admission::new(config.jobs.get());
     let cancel = CancelFlag::new();
     let retry: Mutex<HashMap<String, RetryEntry>> = Mutex::new(HashMap::new());
     let ctx = Ctx { dirs: &dirs, config, counters: &counters, retry: &retry, cancel: &cancel };
+    let (job_tx, job_rx) = mpsc::channel::<(String, u32)>();
+    let job_rx = Mutex::new(job_rx);
+    let (finished_tx, finished_rx) = mpsc::channel();
+    let mut panics = Vec::new();
 
     let loop_result: io::Result<()> = std::thread::scope(|scope| {
+        // Moved in, so every exit from this closure closes the job channel
+        // and the workers return once their current job is done.
+        let job_tx = job_tx;
+        for _ in 0..config.jobs.get() {
+            let (jobs, finished) = (&job_rx, finished_tx.clone());
+            scope.spawn(move || {
+                worker(jobs, &finished, |stem, attempt| process(ctx, stem, attempt))
+            });
+        }
+        let mut in_flight = 0usize;
         let mut draining = false;
         let mut last_stats = Instant::now();
         loop {
@@ -533,7 +574,7 @@ pub fn serve(config: &ServeConfig) -> io::Result<ServeSummary> {
             }
             if stop_level >= 1 && !draining {
                 draining = true;
-                println!("serve: stop requested, draining {} in-flight", admission.in_flight());
+                eprintln!("serve: stop requested, draining {in_flight} in-flight");
             }
 
             if !draining {
@@ -553,21 +594,17 @@ pub fn serve(config: &ServeConfig) -> io::Result<ServeSummary> {
                             None => 1,
                         }
                     };
-                    match admission.try_acquire() {
-                        Some(permit) => {
-                            if claim(&dirs, &stem) {
-                                counters.accepted.fetch_add(1, Ordering::Relaxed);
-                                scope.spawn(move || {
-                                    let _permit = permit;
-                                    process(ctx, &stem, attempt);
-                                });
-                            }
+                    if in_flight < config.jobs.get() {
+                        if claim(&dirs, &stem) {
+                            counters.accepted.fetch_add(1, Ordering::Relaxed);
+                            in_flight += 1;
+                            // The receiver outlives the loop: this never fails.
+                            let _ = job_tx.send((stem, attempt));
                         }
-                        None => {
-                            queued += 1;
-                            if queued > config.queue {
-                                shed(ctx, &stem);
-                            }
+                    } else {
+                        queued += 1;
+                        if queued > config.queue {
+                            shed(ctx, &stem);
                         }
                     }
                 }
@@ -575,24 +612,36 @@ pub fn serve(config: &ServeConfig) -> io::Result<ServeSummary> {
 
             if last_stats.elapsed() >= config.stats_every {
                 last_stats = Instant::now();
-                println!("{}", counters.stats_line());
+                eprintln!("{}", counters.stats_line());
             }
 
+            // A retried job is back in `incoming/` before its completion
+            // arrives, so this scan sees it.
             if draining {
-                if admission.in_flight() == 0 {
+                if in_flight == 0 {
                     break;
                 }
-            } else if config.once && admission.in_flight() == 0 && scan_incoming(&dirs)?.is_empty()
-            {
+            } else if config.once && in_flight == 0 && scan_incoming(&dirs)?.is_empty() {
                 break;
             }
-            std::thread::sleep(config.poll);
+            // Sleep until a job finishes (its worker is free again) or for
+            // at most one poll interval.
+            if let Ok(first) = finished_rx.recv_timeout(config.poll) {
+                for panicked in std::iter::once(first).chain(finished_rx.try_iter()) {
+                    in_flight -= 1;
+                    panics.extend(panicked);
+                }
+            }
         }
         Ok(())
     });
+    // A panic that escaped a job is raised again once the pool is down.
+    if let Some(payload) = panics.into_iter().next() {
+        std::panic::resume_unwind(payload);
+    }
     loop_result?;
 
-    println!("{}", counters.stats_line());
+    eprintln!("{}", counters.stats_line());
     Ok(counters.summary())
 }
 
@@ -771,6 +820,56 @@ mod tests {
         );
         assert_eq!(std::fs::read_to_string(done.join("fixed.bench")).unwrap(), "# sentinel\n");
         std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_finished_job_wakes_the_loop_before_the_poll_interval() {
+        let root = temp_root("wake");
+        for i in 0..5 {
+            submit(&root, &format!("job{i}"), TINY, "");
+        }
+        let config = ServeConfig {
+            jobs: Jobs::serial(),
+            poll: Duration::from_secs(1),
+            ..quick_config(&root)
+        };
+        let t0 = Instant::now();
+        let summary = serve(&config).unwrap();
+        let elapsed = t0.elapsed();
+        assert_eq!(summary.done, 5);
+        // Sleeping out the poll interval once per job would take 5 s.
+        assert!(elapsed < Duration::from_millis(2500), "drain took {elapsed:?}");
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn two_workers_drain_every_sleeping_job() {
+        let root = temp_root("pool");
+        for i in 0..8 {
+            submit(&root, &format!("nap{i}"), TINY, "chaos = sleep:50\n");
+        }
+        let summary = serve(&quick_config(&root)).unwrap();
+        assert_eq!((summary.accepted, summary.done, summary.failed, summary.shed), (8, 8, 0, 0));
+        for i in 0..8 {
+            let report = root.join("jobs").join("done").join(format!("nap{i}.report.json"));
+            assert!(std::fs::read_to_string(report).unwrap().contains("\"outcome\":\"done\""));
+        }
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_panic_outside_the_engine_keeps_the_worker_and_reports_completion() {
+        let (job_tx, job_rx) = mpsc::channel();
+        let (finished_tx, finished_rx) = mpsc::channel();
+        for stem in ["boom", "calm"] {
+            job_tx.send((stem.to_string(), 1)).unwrap();
+        }
+        drop(job_tx);
+        worker(&Mutex::new(job_rx), &finished_tx, |stem, _| assert_ne!(stem, "boom"));
+        let finished: Vec<_> = finished_rx.try_iter().map(|p| p.map(panic_message)).collect();
+        assert_eq!(finished.len(), 2, "one completion per job, the panicked one included");
+        assert!(finished[0].as_deref().is_some_and(|m| m.contains("boom")), "{finished:?}");
+        assert_eq!(finished[1], None);
     }
 
     #[test]

@@ -71,8 +71,8 @@ pub struct JobSpec {
 
 impl JobSpec {
     /// The resynthesis options this request asks for. Each job runs on one
-    /// worker thread; the daemon's parallelism is across jobs (the
-    /// admission gate).
+    /// worker thread; the daemon's parallelism is across jobs (its worker
+    /// pool).
     pub fn resynth_options(&self) -> ResynthOptions {
         let defaults = ResynthOptions::default();
         ResynthOptions {

@@ -87,9 +87,9 @@ fn smoke_three_jobs_one_malformed() {
     // Transient dirs drained; final stats line emitted.
     assert_eq!(std::fs::read_dir(root.join("jobs/incoming")).unwrap().count(), 0);
     assert_eq!(std::fs::read_dir(root.join("jobs/running")).unwrap().count(), 0);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("done=2"), "{stdout}");
-    assert!(stdout.contains("failed=1"), "{stdout}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("done=2"), "{stderr}");
+    assert!(stderr.contains("failed=1"), "{stderr}");
     std::fs::remove_dir_all(&root).unwrap();
 }
 
@@ -129,9 +129,8 @@ fn kill_daemon_recover_and_quarantine() {
 
     // Phase 3: restart and drain. Everything left must complete.
     let out = serve_once(&root, "1");
-    let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stdout.contains("re-adopted"), "stdout: {stdout}");
+    assert!(stderr.contains("re-adopted"), "stderr: {stderr}");
     assert!(!stderr.contains("panicked at"), "panic escaped to daemon stderr: {stderr}");
 
     for stem in ["slow", "quick1", "quick2"] {
@@ -163,8 +162,8 @@ fn panicking_job_does_not_kill_the_daemon() {
     assert!(boom.contains("\"outcome\":\"panicked\""), "{boom}");
     let calm = read(root.join("jobs/done/calm.report.json"));
     assert!(calm.contains("\"outcome\":\"done\""), "{calm}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("panicked=1"), "{stdout}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("panicked=1"), "{stderr}");
     std::fs::remove_dir_all(&root).unwrap();
 }
 
