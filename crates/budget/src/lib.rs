@@ -24,17 +24,16 @@
 //! are wait-free; `check` reads a monotonic clock only when a deadline is
 //! actually set.
 //!
-//! # Transactional-pass contract
+//! # Per-edit contract
 //!
-//! An engine that mutates a circuit must pair every pass with an edit
-//! transaction: open a checkpoint (`Circuit::begin_edit`) before the pass,
-//! and on any `Err(Exhausted)` surfacing mid-pass roll the circuit back to
-//! it (`Circuit::rollback_to`) before reporting the stop. The journal makes
-//! that rollback O(#edits this pass), so honouring the anytime property no
-//! longer requires keeping a full pre-pass clone of the circuit — clones
-//! are reserved for run boundaries (e.g. keeping the caller's original
-//! while a whole run may be abandoned). Exhaustion between passes needs no
-//! rollback at all: the previous pass was already committed.
+//! An engine that mutates a circuit checks each edit on its own and
+//! commits it once the check passes: open a checkpoint
+//! (`Circuit::begin_edit`), apply and check the edit, then `Circuit::commit`
+//! it, or roll it back (`Circuit::rollback_to`, O(#edits of that one
+//! change)) when the check fails. Budget checks fall between edits, so an
+//! `Err(Exhausted)` never lands inside an open checkpoint. A stop never
+//! discards a checked edit: the engine returns the stop reason with every
+//! edit committed so far still in the circuit.
 //!
 //! # Examples
 //!
@@ -99,11 +98,12 @@ pub enum StopReason {
     StepBudget,
     /// The cancellation flag was raised.
     Cancelled,
-    /// A checked edit did not preserve the function and the engine rolled
-    /// back to the last verified result. In resynthesis the check is per
-    /// replacement: the rewired cone's truth table over its cut must equal
-    /// the old cone's (on the care set when don't-cares are used). This is
-    /// an internal-bug containment path, not an expected outcome.
+    /// A checked edit did not preserve the function: the engine rolled that
+    /// one edit back and stopped, keeping every edit committed before it.
+    /// In resynthesis the check is per replacement: the rewired cone's
+    /// truth table over its cut must equal the old cone's (on the care set
+    /// when don't-cares are used). This is an internal-bug containment
+    /// path, not an expected outcome.
     VerificationRollback,
 }
 

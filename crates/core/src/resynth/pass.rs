@@ -1,27 +1,28 @@
-//! One output-to-input traversal of the resynthesis procedure, applying
-//! accepted replacements through journaled edits on the live circuit.
+//! The pass loop and one output-to-input traversal of the resynthesis
+//! procedure. Every accepted replacement is spliced into the live circuit,
+//! checked against its cone and committed as its own journal checkpoint.
 
 use super::candidates::{
     combined_score, pick_better, removable_gates, score_candidate, Candidate, Replacement, ScoreCtx,
 };
 use super::cuts::CutSet;
-use super::{Objective, ResynthOptions};
-use crate::unit::build_unit_in;
-use sft_budget::{Budget, Exhausted};
-use sft_netlist::{Circuit, GateKind, NodeId};
+use super::{Objective, ResynthError, ResynthOptions, ResynthReport};
+use crate::unit::{build_unit_in, UnitTop};
+use sft_budget::{Budget, Exhausted, StopReason};
+use sft_netlist::{simplify, Circuit, GateKind, NetlistError, NodeId};
 use sft_truth::TruthTable;
 
-/// Why a pass could not run to completion. Budget exhaustion and a
-/// replacement that does not match its cone are recoverable (rollback +
-/// report); netlist errors are not.
-pub(super) enum PassAbort {
+/// Why a pass ended before its traversal did. Budget exhaustion and a
+/// replacement that does not match its cone end the run with a
+/// [`StopReason`]; netlist errors are not recoverable.
+enum PassAbort {
     Budget(Exhausted),
     Mismatch,
-    Netlist(sft_netlist::NetlistError),
+    Netlist(NetlistError),
 }
 
-impl From<sft_netlist::NetlistError> for PassAbort {
-    fn from(e: sft_netlist::NetlistError) -> Self {
+impl From<NetlistError> for PassAbort {
+    fn from(e: NetlistError) -> Self {
         PassAbort::Netlist(e)
     }
 }
@@ -32,34 +33,98 @@ impl From<Exhausted> for PassAbort {
     }
 }
 
-/// One output-to-input pass. Returns the number of replacements, or the
-/// reason the pass had to be abandoned (the caller rolls back).
+/// The pass loop behind [`super::resynthesize_with_budget`]: runs passes on
+/// the live circuit until one yields no improvement. A pass that ends early
+/// keeps the replacements it committed; if it kept any, the circuit is
+/// cleaned up and swept as after any pass and the pass counts. Then the run
+/// stops.
+pub(super) fn run(
+    circuit: &mut Circuit,
+    options: &ResynthOptions,
+    budget: &Budget,
+) -> Result<ResynthReport, ResynthError> {
+    circuit.validate()?;
+    let mut report = ResynthReport {
+        gates_before: circuit.two_input_gate_count(),
+        paths_before: circuit.path_count_exact(),
+        ..ResynthReport::default()
+    };
+    circuit.enable_views();
+    let mut cuts = CutSet::default();
+    // The path count at the start of the pass, read only by the `Paths`
+    // and `Combined` objectives: each pass's closing count opens the next.
+    let mut paths = report.paths_before.value();
+    let reason = loop {
+        if report.passes >= options.max_passes {
+            break StopReason::MaxPasses;
+        }
+        if let Err(e) = budget.check() {
+            break e.into();
+        }
+        let before_gates = circuit.two_input_gate_count();
+        let mut replacements = 0;
+        let stop = match one_pass(circuit, options, budget, &mut cuts, &mut replacements) {
+            Ok(()) => None,
+            Err(PassAbort::Budget(e)) => Some(e.into()),
+            Err(PassAbort::Mismatch) => Some(StopReason::VerificationRollback),
+            Err(PassAbort::Netlist(e)) => {
+                // Structural corruption is a bug, not an effort problem;
+                // the failed replacement is rolled back, the circuit stays
+                // equivalent to the input.
+                circuit.disable_views();
+                return Err(e.into());
+            }
+        };
+        // An interrupted pass that kept nothing left the circuit as it was.
+        if stop.is_none() || replacements > 0 {
+            report.passes += 1;
+            report.replacements += replacements;
+            simplify::propagate_constants(circuit);
+            simplify::collapse_buffers(circuit);
+            circuit.sweep();
+        }
+        if let Some(reason) = stop {
+            break reason;
+        }
+        let fewer_gates = || circuit.two_input_gate_count() < before_gates;
+        let improved = match options.objective {
+            Objective::Gates => fewer_gates(),
+            objective => {
+                let before_paths = std::mem::replace(&mut paths, circuit.path_count());
+                paths < before_paths
+                    || (matches!(objective, Objective::Combined { .. }) && fewer_gates())
+            }
+        };
+        if replacements == 0 || !improved {
+            break StopReason::Converged;
+        }
+    };
+    circuit.disable_views();
+    report.stop_reason = reason;
+    report.gates_after = circuit.two_input_gate_count();
+    report.paths_after = circuit.path_count_exact();
+    Ok(report)
+}
+
+/// One output-to-input pass, counting its committed replacements in
+/// `replacements`; an `Err` says why the pass ended early, and every
+/// replacement counted so far stays in the circuit.
 ///
-/// Runs inside the caller's edit transaction with views enabled. At pass
-/// start the circuit is sorted once, into the level order: the path labels
-/// and every gate's cuts (into `cuts`) are computed walking it forward,
-/// and the traversal walks it backward. Labels and cuts stay valid for the
-/// whole pass (the scoring contract): a gate's cuts depend only on its
-/// transitive fanin, and the reverse level order never visits a gate after
-/// one in its fanin cone was rewired. Fanout facts are read live from the
-/// maintained view, which every rewire patches in place.
-///
-/// `skip[g]` replays a previous rejection at `g` without re-scoring; the
-/// caller guarantees (via [`super::commit`]'s dirty-region diff) that `g`'s
-/// scoring environment is unchanged since that rejection, and the flags are
-/// honored only while this pass has not yet edited the circuit — after the
-/// first replacement the environment is mid-pass state the caller could not
-/// have diffed. `rejected` records (under the same freshness rule) the
-/// gates this pass scored-and-rejected or replay-skipped, as input for the
-/// next pass's skip set.
-pub(super) fn one_pass(
+/// Runs with views enabled. At pass start the circuit is sorted once, into
+/// the level order: the path labels and every gate's cuts (into `cuts`)
+/// are computed walking it forward, and the traversal walks it backward.
+/// Labels and cuts stay valid for the whole pass (the scoring contract): a
+/// gate's cuts depend only on its transitive fanin, and the reverse level
+/// order never visits a gate after one in its fanin cone was rewired.
+/// Fanout facts are read live from the maintained view, which every rewire
+/// patches in place.
+fn one_pass(
     circuit: &mut Circuit,
     options: &ResynthOptions,
     budget: &Budget,
     cuts: &mut CutSet,
-    skip: &[bool],
-    rejected: &mut [bool],
-) -> Result<usize, PassAbort> {
+    replacements: &mut usize,
+) -> Result<(), PassAbort> {
     let order = circuit.bfs_order().expect("resynthesis runs on acyclic circuits");
     let labels = circuit.path_labels_in(&order);
     cuts.enumerate(circuit, &order, options.max_inputs, options.max_candidates_per_gate, budget)?;
@@ -82,10 +147,6 @@ pub(super) fn one_pass(
         None
     };
 
-    // Skip flags (and newly recorded rejections) are valid only against the
-    // pass-start state the caller diffed; the first edit invalidates both.
-    let mut untouched = true;
-    let mut replacements = 0usize;
     for &g in order.iter().rev() {
         if g.index() >= marked.len() {
             continue; // nodes appended during this pass
@@ -97,17 +158,6 @@ pub(super) fn one_pass(
             continue;
         }
         budget.check()?;
-        if untouched && skip.get(g.index()).copied().unwrap_or(false) {
-            // Replayed rejection: same traversal as the reject branch below,
-            // with the scoring skipped.
-            rejected[g.index()] = true;
-            for f in circuit.node(g).fanins().to_vec() {
-                if f.index() < marked.len() && circuit.node(f).kind().is_gate() {
-                    marked[f.index()] = true;
-                }
-            }
-            continue;
-        }
         let ctx = ScoreCtx { g, labels: &labels };
         let mut best: Option<Candidate> = None;
         for cut in cuts.of(g).filter(|cut| !cut.leaves().is_empty()) {
@@ -148,63 +198,25 @@ pub(super) fn one_pass(
                     consumed[x.index()] = true;
                 }
             }
-            let (kind, fanins) = match &b.replacement {
-                Replacement::Unit(spec) => {
-                    let top = build_unit_in(circuit, &b.inputs, spec)?;
-                    match top.kind {
-                        GateKind::Const0 | GateKind::Const1 => (top.kind, Vec::new()),
-                        k => (k, top.fanins),
-                    }
+            let cp = circuit.begin_edit();
+            match splice(circuit, g, &b) {
+                Ok(true) => circuit.commit(cp),
+                Ok(false) => {
+                    circuit.rollback_to(cp);
+                    return Err(PassAbort::Mismatch);
                 }
-                Replacement::NegatedUnit(spec, negate) => {
-                    let lines: Vec<NodeId> = b
-                        .inputs
-                        .iter()
-                        .zip(negate)
-                        .map(|(&line, &neg)| {
-                            if neg {
-                                circuit.add_gate(GateKind::Not, vec![line])
-                            } else {
-                                Ok(line)
-                            }
-                        })
-                        .collect::<Result<_, _>>()?;
-                    let top = build_unit_in(circuit, &lines, spec)?;
-                    match top.kind {
-                        GateKind::Const0 | GateKind::Const1 => (top.kind, Vec::new()),
-                        k => (k, top.fanins),
-                    }
+                Err(e) => {
+                    circuit.rollback_to(cp);
+                    return Err(e.into());
                 }
-                Replacement::Cover(specs) => {
-                    let outs: Vec<NodeId> = specs
-                        .iter()
-                        .map(|spec| {
-                            let top = build_unit_in(circuit, &b.inputs, spec)?;
-                            crate::unit::materialize_top(circuit, top)
-                        })
-                        .collect::<Result<_, _>>()?;
-                    if outs.len() == 1 {
-                        (GateKind::Buf, outs)
-                    } else {
-                        (GateKind::Or, outs)
-                    }
-                }
-            };
-            circuit.rewire(g, kind, fanins)?;
-            if !matches_cone(circuit, g, &b.inputs, &b.truth, b.dont_care.as_ref()) {
-                return Err(PassAbort::Mismatch);
             }
-            replacements += 1;
-            untouched = false;
+            *replacements += 1;
             for i in &b.inputs {
                 if i.index() < marked.len() && circuit.node(*i).kind().is_gate() {
                     marked[i.index()] = true;
                 }
             }
         } else {
-            if untouched {
-                rejected[g.index()] = true;
-            }
             // The single-gate candidate is implicitly selected: continue the
             // traversal through g's fanins (Procedure 2, step 2d).
             for f in circuit.node(g).fanins().to_vec() {
@@ -214,7 +226,40 @@ pub(super) fn one_pass(
             }
         }
     }
-    Ok(replacements)
+    Ok(())
+}
+
+/// Builds `b`'s replacement, rewires `g` to it and checks the result with
+/// [`matches_cone`]. The caller wraps the call in an edit checkpoint and
+/// rolls it back unless it returns `Ok(true)`.
+fn splice(circuit: &mut Circuit, g: NodeId, b: &Candidate) -> Result<bool, NetlistError> {
+    let top = match &b.replacement {
+        Replacement::Unit(spec) => build_unit_in(circuit, &b.inputs, spec)?,
+        Replacement::NegatedUnit(spec, negate) => {
+            let mut lines = b.inputs.clone();
+            for (line, &neg) in lines.iter_mut().zip(negate) {
+                if neg {
+                    *line = circuit.add_gate(GateKind::Not, vec![*line])?;
+                }
+            }
+            build_unit_in(circuit, &lines, spec)?
+        }
+        Replacement::Cover(specs) => {
+            let mut outs = Vec::with_capacity(specs.len());
+            for spec in specs {
+                let top = build_unit_in(circuit, &b.inputs, spec)?;
+                outs.push(crate::unit::materialize_top(circuit, top)?);
+            }
+            let kind = if outs.len() == 1 { GateKind::Buf } else { GateKind::Or };
+            UnitTop { kind, fanins: outs }
+        }
+    };
+    let fanins = match top.kind {
+        GateKind::Const0 | GateKind::Const1 => Vec::new(),
+        _ => top.fanins,
+    };
+    circuit.rewire(g, top.kind, fanins)?;
+    Ok(matches_cone(circuit, g, &b.inputs, &b.truth, b.dont_care.as_ref()))
 }
 
 /// The per-replacement check: whether `g`, rewired to its replacement,

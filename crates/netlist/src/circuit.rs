@@ -1061,11 +1061,6 @@ impl Circuit {
         self.names.set_id(id.index(), name_id);
         self.touch();
     }
-
-    /// Resolves a pool span to its fanin slice (journal pre-images).
-    pub(crate) fn span_slice(&self, span: Span) -> &[NodeId] {
-        &self.pool[span.range()]
-    }
 }
 
 #[cfg(test)]

@@ -17,11 +17,10 @@
 //! append sits at the tail by the time its inverse runs), so a rolled-back
 //! transaction reclaims every pool byte it appended.
 //!
-//! Transactions nest: an inner checkpoint can be rolled back while an outer
-//! one stays open; journal entries are discarded only when the outermost
-//! transaction commits. [`Circuit::sweep`] compacts node ids and the pool
-//! and cannot be expressed as a journalable edit, so it panics while a
-//! transaction is open.
+//! One transaction is open at a time; opening a second panics. Journal
+//! entries are discarded when the transaction commits. [`Circuit::sweep`]
+//! compacts node ids and the pool and cannot be expressed as a journalable
+//! edit, so it panics while a transaction is open.
 //!
 //! # Examples
 //!
@@ -85,38 +84,36 @@ pub(crate) enum UndoOp {
     },
 }
 
-/// The journal itself: a stack of inverse operations plus the current
-/// transaction nesting depth. Lives inside [`Circuit`]; empty whenever no
+/// The journal itself: a stack of inverse operations and whether a
+/// transaction is open. Lives inside [`Circuit`]; empty whenever no
 /// transaction is open.
 #[derive(Debug, Default)]
 pub(crate) struct Journal {
     ops: Vec<UndoOp>,
-    depth: usize,
+    recording: bool,
 }
 
 impl Journal {
     /// Whether a transaction is open (mutations are being recorded).
     pub(crate) fn recording(&self) -> bool {
-        self.depth > 0
+        self.recording
     }
 
     /// Records an inverse operation; a no-op outside a transaction.
     pub(crate) fn record(&mut self, op: UndoOp) {
-        if self.depth > 0 {
+        if self.recording {
             self.ops.push(op);
         }
     }
 }
 
-/// A position in the edit journal, returned by [`Circuit::begin_edit`].
+/// The handle of an open edit transaction, returned by
+/// [`Circuit::begin_edit`].
 ///
 /// Pass it back to [`Circuit::commit`] to keep the edits or to
-/// [`Circuit::rollback_to`] to undo them. Checkpoints must be resolved
-/// innermost-first; resolving one out of order panics.
+/// [`Circuit::rollback_to`] to undo them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Checkpoint {
-    ops: usize,
-    depth: usize,
     /// Arena layout flags at checkpoint time, restored on rollback (the
     /// pool is fully unwound by then, so they are exact again).
     flat: bool,
@@ -128,29 +125,28 @@ impl Circuit {
     ///
     /// Until the checkpoint is resolved with [`commit`](Self::commit) or
     /// [`rollback_to`](Self::rollback_to), every structural mutation records
-    /// its inverse, and [`sweep`](Self::sweep) panics. Transactions nest.
-    pub fn begin_edit(&mut self) -> Checkpoint {
-        self.journal.depth += 1;
-        let (flat, topo_ids) = self.layout_flags();
-        Checkpoint { ops: self.journal.ops.len(), depth: self.journal.depth, flat, topo_ids }
-    }
-
-    /// Keeps all edits made since `cp` and closes its transaction.
-    ///
-    /// Journal memory is released when the outermost transaction commits;
-    /// an inner commit keeps its entries so an enclosing checkpoint can
-    /// still roll them back.
+    /// its inverse, and [`sweep`](Self::sweep) panics.
     ///
     /// # Panics
     ///
-    /// Panics if `cp` is not the innermost open checkpoint.
-    pub fn commit(&mut self, cp: Checkpoint) {
-        assert_eq!(cp.depth, self.journal.depth, "commit of a non-innermost checkpoint");
-        debug_assert!(cp.ops <= self.journal.ops.len());
-        self.journal.depth -= 1;
-        if self.journal.depth == 0 {
-            self.journal.ops.clear();
-        }
+    /// Panics if a transaction is already open.
+    pub fn begin_edit(&mut self) -> Checkpoint {
+        assert!(!self.journal.recording, "begin_edit inside an open edit transaction");
+        self.journal.recording = true;
+        let (flat, topo_ids) = self.layout_flags();
+        Checkpoint { flat, topo_ids }
+    }
+
+    /// Keeps all edits made since `cp`, closes its transaction and releases
+    /// the journal's entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no transaction is open.
+    pub fn commit(&mut self, _cp: Checkpoint) {
+        assert!(self.journal.recording, "commit without an open edit transaction");
+        self.journal.recording = false;
+        self.journal.ops.clear();
     }
 
     /// Undoes every edit made since `cp` (in reverse order) and closes its
@@ -160,14 +156,14 @@ impl Circuit {
     ///
     /// # Panics
     ///
-    /// Panics if `cp` is not the innermost open checkpoint.
+    /// Panics if no transaction is open: the layout flags `cp` restores are
+    /// exact only for the transaction that took it.
     pub fn rollback_to(&mut self, cp: Checkpoint) {
-        assert_eq!(cp.depth, self.journal.depth, "rollback of a non-innermost checkpoint");
-        while self.journal.ops.len() > cp.ops {
-            let op = self.journal.ops.pop().expect("length checked");
+        assert!(self.journal.recording, "rollback_to without an open edit transaction");
+        while let Some(op) = self.journal.ops.pop() {
             self.undo(op);
         }
-        self.journal.depth -= 1;
+        self.journal.recording = false;
         // All transactional pool appends are unwound now; the layout flags
         // captured at begin_edit are exact again.
         self.restore_layout(cp.flat, cp.topo_ids);
@@ -176,41 +172,6 @@ impl Circuit {
     /// Whether an edit transaction is currently open.
     pub fn in_transaction(&self) -> bool {
         self.journal.recording()
-    }
-
-    /// Number of journal entries recorded since `cp` — the cost, in
-    /// inverse operations, of rolling back to it.
-    pub fn edits_since(&self, cp: Checkpoint) -> usize {
-        self.journal.ops.len().saturating_sub(cp.ops)
-    }
-
-    /// The node count the circuit had when `cp` was taken.
-    pub fn len_at(&self, cp: Checkpoint) -> usize {
-        let added = self.journal.ops[cp.ops..]
-            .iter()
-            .filter(|op| matches!(op, UndoOp::PopNode { .. }))
-            .count();
-        self.len() - added
-    }
-
-    /// The pre-transaction image (kind and fanins) of every node rewired
-    /// since `cp`, as `(id, kind, fanins)` triples. When a node was rewired
-    /// several times, the *first* recorded image — i.e. its state at the
-    /// checkpoint — wins, so a node rewired away and back reports its
-    /// original image and compares equal to its current state. The fanin
-    /// slices resolve the journalled spans against the pool, whose
-    /// pre-image storage is untouched while the transaction is open.
-    pub fn pre_images_since(&self, cp: Checkpoint) -> Vec<(NodeId, GateKind, &[NodeId])> {
-        let mut seen = std::collections::HashSet::new();
-        let mut out = Vec::new();
-        for op in &self.journal.ops[cp.ops..] {
-            if let UndoOp::Rewire { id, kind, span } = op {
-                if seen.insert(*id) {
-                    out.push((*id, *kind, self.span_slice(*span)));
-                }
-            }
-        }
-        out
     }
 
     /// Applies one inverse operation, patching the incremental views to
@@ -264,7 +225,6 @@ mod tests {
         c.add_output(n, "z");
         c.set_node_name(g, "renamed");
         c.set_name("renamed_circuit");
-        assert!(c.edits_since(cp) > 0);
         c.rollback_to(cp);
         assert_eq!(c, before);
         assert!(!c.in_transaction());
@@ -284,54 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn nested_inner_rollback_preserves_outer_edits() {
-        let mut c = sample();
-        let a = c.inputs()[0];
-        let outer = c.begin_edit();
-        let kept = c.add_gate(GateKind::Not, vec![a]).unwrap();
-        let mid = c.clone();
-        let inner = c.begin_edit();
-        c.add_gate(GateKind::Buf, vec![kept]).unwrap();
-        c.rollback_to(inner);
-        assert_eq!(c, mid);
-        c.rollback_to(outer);
-        assert_eq!(c, sample());
-    }
-
-    #[test]
-    fn nested_inner_commit_can_still_be_rolled_back_by_outer() {
-        let mut c = sample();
-        let a = c.inputs()[0];
-        let outer = c.begin_edit();
-        let inner = c.begin_edit();
-        c.add_gate(GateKind::Not, vec![a]).unwrap();
-        c.commit(inner);
-        c.rollback_to(outer);
-        assert_eq!(c, sample());
-    }
-
-    #[test]
-    fn len_at_and_pre_images_reconstruct_checkpoint_state() {
-        let mut c = sample();
-        let a = c.inputs()[0];
-        let b = c.inputs()[1];
-        let g = c.outputs()[0];
-        let cp = c.begin_edit();
-        assert_eq!(c.len_at(cp), 3);
-        c.rewire(g, GateKind::Or, vec![a, b]).unwrap();
-        c.rewire(g, GateKind::And, vec![a, b]).unwrap(); // back to original
-        c.add_gate(GateKind::Not, vec![a]).unwrap();
-        assert_eq!(c.len_at(cp), 3);
-        let pre = c.pre_images_since(cp);
-        assert_eq!(pre.len(), 1);
-        let (id, kind, fanins) = pre[0];
-        assert_eq!(id, g);
-        assert_eq!(kind, GateKind::And); // first image wins: the checkpoint state
-        assert_eq!(fanins, &[a, b]);
-        c.rollback_to(cp);
-    }
-
-    #[test]
     #[should_panic(expected = "sweep")]
     fn sweep_panics_inside_transaction() {
         let mut c = sample();
@@ -340,12 +252,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "non-innermost")]
-    fn out_of_order_resolution_panics() {
+    #[should_panic(expected = "inside an open edit transaction")]
+    fn nested_begin_edit_panics() {
         let mut c = sample();
-        let outer = c.begin_edit();
-        let _inner = c.begin_edit();
-        c.rollback_to(outer);
+        let _outer = c.begin_edit();
+        c.begin_edit();
+    }
+
+    #[test]
+    #[should_panic(expected = "without an open edit transaction")]
+    fn second_rollback_of_a_checkpoint_panics() {
+        let mut c = sample();
+        let cp = c.begin_edit();
+        c.rollback_to(cp);
+        c.rollback_to(cp);
     }
 
     #[test]

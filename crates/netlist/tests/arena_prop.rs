@@ -153,31 +153,4 @@ proptest! {
             pre.outputs().iter().map(|&o| map.get(o).expect("output survives")).collect();
         prop_assert_eq!(&translated_outputs[..], c.outputs());
     }
-
-    /// Nested checkpoints unwind the pool tail innermost-first: each level
-    /// restores the exact pool length observed when it was opened.
-    #[test]
-    fn nested_checkpoints_restore_pool_lengths(
-        n_inputs in 1usize..5,
-        gates in proptest::collection::vec((0usize..8, 1usize..4, any::<u64>()), 2..20),
-        out_picks in proptest::collection::vec(any::<u64>(), 1..4),
-        edits in proptest::collection::vec((any::<u64>(), any::<u64>()), 2..24),
-    ) {
-        let mut c = build_dag(n_inputs, &gates, &out_picks);
-        let (first, second) = edits.split_at(edits.len() / 2);
-
-        let outer = c.begin_edit();
-        let pool_outer = c.fanin_pool_len();
-        apply_rewires(&mut c, first);
-        let mid = c.clone();
-        let inner = c.begin_edit();
-        let pool_inner = c.fanin_pool_len();
-        apply_rewires(&mut c, second);
-
-        c.rollback_to(inner);
-        prop_assert_eq!(c.fanin_pool_len(), pool_inner);
-        prop_assert!(c == mid);
-        c.rollback_to(outer);
-        prop_assert_eq!(c.fanin_pool_len(), pool_outer);
-    }
 }

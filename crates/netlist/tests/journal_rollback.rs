@@ -147,35 +147,6 @@ proptest! {
         assert_views_match_rebuild(&c);
     }
 
-    /// Nested transactions resolve innermost-first: rolling back the inner
-    /// checkpoint restores the mid-point, rolling back the outer one
-    /// restores the start.
-    #[test]
-    fn nested_rollback_restores_each_level(
-        n_inputs in 1usize..5,
-        gates in proptest::collection::vec((0usize..8, 1usize..4, any::<u64>()), 1..20),
-        out_picks in proptest::collection::vec(any::<u64>(), 1..4),
-        ops in proptest::collection::vec((0usize..8, any::<u64>(), any::<u64>()), 2..30),
-    ) {
-        let mut c = build_dag(n_inputs, &gates, &out_picks);
-        c.enable_views();
-        let before = c.clone();
-        let (first, second) = ops.split_at(ops.len() / 2);
-        let outer = c.begin_edit();
-        apply_edits(&mut c, first);
-        let mid = c.clone();
-        let inner = c.begin_edit();
-        apply_edits(&mut c, second);
-        c.rollback_to(inner);
-        prop_assert!(c.in_transaction());
-        prop_assert!(c == mid, "inner rollback did not restore the mid-point");
-        assert_views_match_rebuild(&c);
-        c.rollback_to(outer);
-        prop_assert!(!c.in_transaction());
-        prop_assert!(c == before, "outer rollback did not restore the start");
-        assert_views_match_rebuild(&c);
-    }
-
     /// Committing a transaction leaves exactly the state that applying the
     /// same edits without any transaction (and without views) produces —
     /// the journal machinery is observationally free.

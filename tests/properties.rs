@@ -47,6 +47,19 @@ fn arb_circuit(inputs: usize, gates: usize) -> impl Strategy<Value = Circuit> {
     })
 }
 
+/// Resynthesizes a copy of `c` under a step limit; returns the result, its
+/// report and the steps it used.
+fn budgeted_run(
+    c: &Circuit,
+    opts: &ResynthOptions,
+    limit: u64,
+) -> (Circuit, sft::core::ResynthReport, u64) {
+    let budget = Budget::unlimited().with_step_limit(limit);
+    let mut work = c.clone();
+    let report = resynthesize_with_budget(&mut work, opts, &budget).expect("budgeted resynthesis");
+    (work, report, limit - budget.remaining_steps().expect("step-limited"))
+}
+
 fn exhaustive_outputs(c: &Circuit) -> Vec<Vec<bool>> {
     let n = c.inputs().len();
     (0..1u32 << n)
@@ -205,8 +218,8 @@ proptest! {
     /// candidate, no overshoot. A run whose limit exceeds the steps an
     /// unconstrained run consumes converges to the same circuit with the
     /// difference left over; any smaller limit stops with `StepBudget`,
-    /// drains the counter to 0, and rolls back transactionally to a
-    /// verified, function-preserving circuit. A limit of exactly the total
+    /// drains the counter to 0, and keeps a function-preserving circuit
+    /// with the replacements committed before the stop. A limit of exactly the total
     /// drains the counter too, and finishes only if nothing checks the
     /// budget after the last scoring. Besides the random limit, every case
     /// runs the three limits around the total.
@@ -241,6 +254,75 @@ proptest! {
         }
     }
 
+    /// Resynthesis is anytime under a step budget. Over a sweep of step
+    /// limits on random circuits of up to 12 inputs, every budgeted run
+    /// keeps the input's function, keeps at least as many replacements as
+    /// any smaller limit, and reproduces the unbudgeted netlist and report
+    /// once the limit exceeds the unbudgeted run's steps. A run whose
+    /// budget runs out in pass `p` keeps at least the replacements of the
+    /// unbudgeted run cut at `p - 1` passes and at most those of the run
+    /// cut at `p`; when it kept more than the former, pass `p` counts. A
+    /// budget that runs out on pass `p`'s last scoring loses at most the
+    /// replacement that scoring would have made.
+    #[test]
+    fn resynth_is_anytime_under_step_limits(
+        inputs in 4usize..=12,
+        gates in 20usize..70,
+        window in 8usize..24,
+        seed in any::<u64>(),
+    ) {
+        use sft::circuits::random::{random_circuit, RandomCircuitConfig};
+        let c = random_circuit(&RandomCircuitConfig { inputs, outputs: 4, gates, window, seed });
+        let before = exhaustive_outputs(&c);
+        let unbudgeted = |max_passes| {
+            let opts = ResynthOptions { max_passes, ..resynth_opts() };
+            budgeted_run(&c, &opts, u64::MAX)
+        };
+        let (full, full_report, total) = unbudgeted(resynth_opts().max_passes);
+        // (steps, replacements) of the unbudgeted run cut at q passes.
+        let cut: Vec<(u64, usize)> = (0..=full_report.passes)
+            .map(|q| {
+                let (_, report, steps) = unbudgeted(q);
+                (steps, report.replacements)
+            })
+            .collect();
+        let stride = (total / 12).max(1) as usize;
+        let mut limits: Vec<u64> = (1..=total + 1).step_by(stride).collect();
+        limits.extend(cut.iter().map(|&(steps, _)| steps.saturating_sub(1).max(1)));
+        limits.extend([total, total + 1, total + 17]);
+        limits.sort_unstable();
+        limits.dedup();
+        let mut kept = 0;
+        for limit in limits {
+            let (work, report, _) = budgeted_run(&c, &resynth_opts(), limit);
+            prop_assert_eq!(exhaustive_outputs(&work), before.clone(), "limit {}", limit);
+            prop_assert!(report.replacements >= kept, "limit {}: {}", limit, report);
+            kept = report.replacements;
+            if limit > total {
+                prop_assert_eq!(&report, &full_report);
+                prop_assert!(work == full, "limit {} must reproduce the unbudgeted netlist", limit);
+                continue;
+            }
+            let p = (1..cut.len()).find(|&q| cut[q].0 >= limit).expect("limit <= total");
+            prop_assert!(
+                (cut[p - 1].1..=cut[p].1).contains(&report.replacements),
+                "limit {} stops in pass {}: {} outside {:?}",
+                limit,
+                p,
+                report,
+                (cut[p - 1].1, cut[p].1)
+            );
+            if report.replacements > cut[p - 1].1 {
+                prop_assert_eq!(report.passes, p, "limit {}: {}", limit, report);
+            }
+            if limit + 1 == cut[p].0 {
+                // Out of steps on pass p's last scoring: only the
+                // replacement that scoring would have made is lost.
+                prop_assert!(report.replacements + 1 >= cut[p].1, "limit {}: {}", limit, report);
+            }
+        }
+    }
+
     /// A cancellation raised before the search starts aborts immediately
     /// and leaves the circuit untouched.
     #[test]
@@ -259,8 +341,8 @@ proptest! {
 
 /// Cancelling from another thread mid-search aborts cleanly: the run
 /// reports `Cancelled` (or finished first), and the circuit it hands back
-/// is always a committed, function-preserving state — never a half-applied
-/// pass.
+/// is always function-preserving — every replacement in it was checked and
+/// committed, none is half-applied.
 #[test]
 fn resynth_mid_run_cancellation_rolls_back_cleanly() {
     use sft::circuits::random::{random_circuit, RandomCircuitConfig};
