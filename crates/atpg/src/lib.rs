@@ -9,7 +9,8 @@
 //!    removes by running \[15\] again after resynthesis.
 //!
 //! This crate provides both: [`generate_test`] is a PODEM implementation
-//! over the 5-valued D-algebra with an explicit backtrack limit, and
+//! over the 5-valued D-algebra with event-driven implication and an
+//! explicit backtrack limit, and
 //! [`remove_redundancies`] iteratively replaces proven-untestable fault
 //! sites by constants and re-simplifies, which is exactly the classical
 //! redundancy-removal loop.

@@ -6,6 +6,23 @@
 //! are chosen to first activate the fault and then advance the D-frontier,
 //! and an X-path check prunes assignments that can no longer propagate the
 //! fault to an output.
+//!
+//! Implication is event-driven (Goel, IEEE TC 1981). Each fault starts
+//! with one full sweep of both machines; after that a decision, a flip or a
+//! backtrack's reset marks only the inputs it changed, and nodes are
+//! re-evaluated in topological rank order, each marking its fanouts only
+//! when its (good, faulty) pair changed. A step therefore costs what it
+//! changes, not the circuit. Debug builds check every incremental state
+//! against a fresh full sweep.
+//!
+//! Only gates in the fanout cone of the fault site can carry a D, so the
+//! D-frontier is read from that cone alone, in node-id order. While the
+//! fault is not yet activated, a decision after which no composite-X path
+//! leads from the fault site to an output is a dead end: determined lines
+//! stay determined, and no line carries a D before activation, so no test
+//! lies below it. Pruning there changes no test vector and no verdict, only
+//! the number of backtracks spent finding them, so a search that would
+//! have hit its backtrack limit inside the pruned subtree may now finish.
 
 use sft_netlist::{Circuit, GateKind, NodeId};
 use sft_sim::{Fault, FaultSite};
@@ -36,63 +53,44 @@ impl V3 {
     }
 }
 
-fn eval3(kind: GateKind, fanins: &[V3]) -> V3 {
-    match kind {
+/// Evaluates a gate in both machines in one pass over its fanins, given as
+/// (good, faulty) pairs.
+fn eval_pair(kind: GateKind, mut pins: impl Iterator<Item = (V3, V3)>) -> (V3, V3) {
+    let (g, b) = match kind {
         GateKind::Input => unreachable!("inputs are assigned, not evaluated"),
-        GateKind::Const0 => V3::Zero,
-        GateKind::Const1 => V3::One,
-        GateKind::Buf => fanins[0],
-        GateKind::Not => fanins[0].invert(),
-        GateKind::And | GateKind::Nand => {
-            let mut out = V3::One;
-            for &f in fanins {
-                out = match (out, f) {
-                    (V3::Zero, _) | (_, V3::Zero) => V3::Zero,
-                    (V3::X, _) | (_, V3::X) => V3::X,
-                    _ => V3::One,
-                };
-                if out == V3::Zero {
-                    break;
+        GateKind::Const0 => (V3::Zero, V3::Zero),
+        GateKind::Const1 => (V3::One, V3::One),
+        GateKind::Buf | GateKind::Not => pins.next().expect("one fanin"),
+        GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor => {
+            // A controlling input decides the output; otherwise any X
+            // leaves it X.
+            let c = V3::from_bool(kind.controlling_value() == Some(true));
+            let absorb = |acc: V3, v: V3| {
+                if acc == c || v == c {
+                    c
+                } else if acc == V3::X || v == V3::X {
+                    V3::X
+                } else {
+                    acc
                 }
-            }
-            if kind == GateKind::Nand {
-                out.invert()
-            } else {
-                out
-            }
-        }
-        GateKind::Or | GateKind::Nor => {
-            let mut out = V3::Zero;
-            for &f in fanins {
-                out = match (out, f) {
-                    (V3::One, _) | (_, V3::One) => V3::One,
-                    (V3::X, _) | (_, V3::X) => V3::X,
-                    _ => V3::Zero,
-                };
-                if out == V3::One {
-                    break;
-                }
-            }
-            if kind == GateKind::Nor {
-                out.invert()
-            } else {
-                out
-            }
+            };
+            pins.fold((c.invert(), c.invert()), |(g, b), (gv, bv)| (absorb(g, gv), absorb(b, bv)))
         }
         GateKind::Xor | GateKind::Xnor => {
-            let mut out = V3::Zero;
-            for &f in fanins {
-                out = match (out, f) {
-                    (V3::X, _) | (_, V3::X) => return V3::X,
-                    (a, b) => V3::from_bool((a == V3::One) != (b == V3::One)),
-                };
-            }
-            if kind == GateKind::Xnor {
-                out.invert()
-            } else {
-                out
-            }
+            let parity = |acc: V3, v: V3| {
+                if acc == V3::X || v == V3::X {
+                    V3::X
+                } else {
+                    V3::from_bool(acc != v)
+                }
+            };
+            pins.fold((V3::Zero, V3::Zero), |(g, b), (gv, bv)| (parity(g, gv), parity(b, bv)))
         }
+    };
+    if kind.inverts() {
+        (g.invert(), b.invert())
+    } else {
+        (g, b)
     }
 }
 
@@ -117,7 +115,10 @@ impl TestResult {
 }
 
 /// Per-circuit structural context PODEM needs for every fault: topological
-/// order, deduped gate fanouts, and input positions.
+/// order and each node's rank in it (the order event-driven implication
+/// re-evaluates changed nodes in), deduped gate fanouts (which carry the
+/// events, bound the fault site's cone and guide the X-path search), input
+/// positions and an output mask.
 ///
 /// Building it is O(circuit). Callers that prove many faults against the
 /// same structure — redundancy removal, test-set generation, the RAR loop —
@@ -129,8 +130,10 @@ impl TestResult {
 /// structures are identical either way.
 pub struct PodemContext {
     order: Vec<NodeId>,
+    rank: Vec<u32>,
     input_pos: Vec<usize>,
     fanouts: Vec<Vec<NodeId>>,
+    is_output: Vec<bool>,
 }
 
 impl PodemContext {
@@ -142,6 +145,10 @@ impl PodemContext {
     /// Panics if the circuit is cyclic.
     pub fn new(circuit: &Circuit) -> Self {
         let order = circuit.topo_order().expect("combinational circuit");
+        let mut rank = vec![0; circuit.len()];
+        for (r, &id) in order.iter().enumerate() {
+            rank[id.index()] = r as u32;
+        }
         let mut input_pos = vec![usize::MAX; circuit.len()];
         for (i, &id) in circuit.inputs().iter().enumerate() {
             input_pos[id.index()] = i;
@@ -157,7 +164,11 @@ impl PodemContext {
                 .collect(),
             None => circuit.fanout_table().iter().map(|v| dedup_consumers(v)).collect(),
         };
-        PodemContext { order, input_pos, fanouts }
+        let mut is_output = vec![false; circuit.len()];
+        for &o in circuit.outputs() {
+            is_output[o.index()] = true;
+        }
+        PodemContext { order, rank, input_pos, fanouts, is_output }
     }
 }
 
@@ -165,69 +176,170 @@ struct Podem<'c> {
     circuit: &'c Circuit,
     ctx: &'c PodemContext,
     fault: Fault,
+    /// The faulty value, as a signal.
+    stuck: V3,
     /// The line whose good value must be the complement of the stuck value.
     activation_line: NodeId,
+    /// Where the machines first differ: the stem itself, or the gate
+    /// consuming a faulty branch.
+    site: NodeId,
+    /// The consuming gate and pin of a branch fault.
+    branch: Option<(NodeId, usize)>,
+    /// The fanout cone of `site` (itself included), in node-id order: the
+    /// only nodes that can carry or border a D.
+    cone: Vec<NodeId>,
     /// PI assignment (by input position).
     pi_values: Vec<V3>,
     good: Vec<V3>,
     bad: Vec<V3>,
+    /// Topological ranks awaiting re-evaluation, one bit each.
+    pending: Vec<u64>,
+    /// The lowest word of `pending` that may hold a bit.
+    pending_lo: usize,
+    /// Scratch for the X-path search: its DFS stack and visit stamps.
+    stack: Vec<NodeId>,
+    seen: Vec<u32>,
+    epoch: u32,
     backtracks: u64,
     limit: u64,
 }
 
 impl<'c> Podem<'c> {
     fn new(circuit: &'c Circuit, ctx: &'c PodemContext, fault: Fault) -> Self {
-        let activation_line = match fault.site {
-            FaultSite::Stem(n) => n,
-            FaultSite::Branch { gate, pin } => circuit.node(gate).fanins()[pin as usize],
+        let (activation_line, site, branch) = match fault.site {
+            FaultSite::Stem(n) => (n, n, None),
+            FaultSite::Branch { gate, pin } => {
+                (circuit.node(gate).fanins()[pin as usize], gate, Some((gate, pin as usize)))
+            }
         };
-        Podem {
+        let mut engine = Podem {
             circuit,
             ctx,
             fault,
+            stuck: V3::from_bool(fault.stuck),
             activation_line,
+            site,
+            branch,
+            cone: Vec::new(),
             pi_values: vec![V3::X; circuit.inputs().len()],
-            good: vec![V3::X; circuit.len()],
-            bad: vec![V3::X; circuit.len()],
+            good: Vec::new(),
+            bad: Vec::new(),
+            pending: vec![0; circuit.len().div_ceil(64)],
+            pending_lo: usize::MAX,
+            stack: Vec::new(),
+            seen: vec![0; circuit.len()],
+            epoch: 0,
             backtracks: 0,
             limit: 0,
+        };
+        engine.collect_cone();
+        engine
+    }
+
+    /// Starts a new visit for the `seen` stamps.
+    fn next_epoch(&mut self) {
+        if self.epoch == u32::MAX {
+            self.seen.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+    }
+
+    fn collect_cone(&mut self) {
+        self.next_epoch();
+        self.stack.push(self.site);
+        while let Some(n) = self.stack.pop() {
+            if std::mem::replace(&mut self.seen[n.index()], self.epoch) == self.epoch {
+                continue;
+            }
+            self.cone.push(n);
+            self.stack.extend_from_slice(&self.ctx.fanouts[n.index()]);
+        }
+        self.cone.sort_unstable();
+    }
+
+    /// Both machines' values of `id` from its fanins' values in `good` and
+    /// `bad`, with the fault injected.
+    fn eval(&self, id: NodeId, good: &[V3], bad: &[V3]) -> (V3, V3) {
+        let node = self.circuit.node(id);
+        let (g, b) = match node.kind() {
+            GateKind::Input => {
+                let v = self.pi_values[self.ctx.input_pos[id.index()]];
+                (v, v)
+            }
+            kind => {
+                let faulty_pin = match self.branch {
+                    Some((gate, pin)) if gate == id => pin,
+                    _ => usize::MAX,
+                };
+                let pins = node.fanins().iter().enumerate().map(|(pin, f)| {
+                    let b = if pin == faulty_pin { self.stuck } else { bad[f.index()] };
+                    (good[f.index()], b)
+                });
+                eval_pair(kind, pins)
+            }
+        };
+        if self.site == id && self.branch.is_none() {
+            (g, self.stuck)
+        } else {
+            (g, b)
         }
     }
 
-    /// Full 3-valued resimulation of both machines under the current PI
-    /// assignment.
-    fn imply(&mut self) {
-        let mut gbuf: Vec<V3> = Vec::with_capacity(8);
-        let mut bbuf: Vec<V3> = Vec::with_capacity(8);
+    /// Full 3-valued simulation of both machines under the current PI
+    /// assignment: the good and the faulty values of every node.
+    fn sweep(&self) -> (Vec<V3>, Vec<V3>) {
+        let mut good = vec![V3::X; self.circuit.len()];
+        let mut bad = vec![V3::X; self.circuit.len()];
         for &id in &self.ctx.order {
-            let node = self.circuit.node(id);
-            let (g, mut b) = match node.kind() {
-                GateKind::Input => {
-                    let v = self.pi_values[self.ctx.input_pos[id.index()]];
-                    (v, v)
-                }
-                kind => {
-                    gbuf.clear();
-                    bbuf.clear();
-                    for (pin, f) in node.fanins().iter().enumerate() {
-                        gbuf.push(self.good[f.index()]);
-                        let bv = if self.fault.site
-                            == (FaultSite::Branch { gate: id, pin: pin as u8 })
-                        {
-                            V3::from_bool(self.fault.stuck)
-                        } else {
-                            self.bad[f.index()]
-                        };
-                        bbuf.push(bv);
-                    }
-                    (eval3(kind, &gbuf), eval3(kind, &bbuf))
-                }
-            };
-            if self.fault.site == FaultSite::Stem(id) {
-                b = V3::from_bool(self.fault.stuck);
+            let (g, b) = self.eval(id, &good, &bad);
+            good[id.index()] = g;
+            bad[id.index()] = b;
+        }
+        (good, bad)
+    }
+
+    /// Sets input `pos` to `value` and queues it for re-implication.
+    fn assign(&mut self, pos: usize, value: V3) {
+        self.pi_values[pos] = value;
+        let r = self.ctx.rank[self.circuit.inputs()[pos].index()] as usize;
+        self.mark(r);
+    }
+
+    fn mark(&mut self, rank: usize) {
+        self.pending[rank / 64] |= 1 << (rank % 64);
+        self.pending_lo = self.pending_lo.min(rank / 64);
+    }
+
+    /// Re-evaluates every queued node in rank order. A node whose pair
+    /// changed queues its fanouts, which rank above it, so one forward scan
+    /// reaches every event.
+    fn drain(&mut self) {
+        let ctx = self.ctx;
+        let mut w = self.pending_lo;
+        while w < self.pending.len() {
+            let word = self.pending[w];
+            if word == 0 {
+                w += 1;
+                continue;
             }
-            self.good[id.index()] = g;
-            self.bad[id.index()] = b;
+            self.pending[w] = word & (word - 1);
+            let id = ctx.order[w * 64 + word.trailing_zeros() as usize];
+            let (g, b) = self.eval(id, &self.good, &self.bad);
+            let i = id.index();
+            if (g, b) != (self.good[i], self.bad[i]) {
+                self.good[i] = g;
+                self.bad[i] = b;
+                for f in &ctx.fanouts[i] {
+                    self.mark(ctx.rank[f.index()] as usize);
+                }
+            }
+        }
+        self.pending_lo = usize::MAX;
+        #[cfg(debug_assertions)]
+        {
+            let (good, bad) = self.sweep();
+            assert!(good == self.good && bad == self.bad, "stale implication");
         }
     }
 
@@ -245,81 +357,79 @@ impl<'c> Podem<'c> {
         self.circuit.outputs().iter().any(|&o| self.has_d(o))
     }
 
-    /// D-frontier: gates whose output is X in either machine and which have
-    /// at least one D/D̄ input. For a branch fault, the faulty branch itself
-    /// carries a D once activated (its stem value is not faulty, so the
-    /// deviation is visible only at the consuming gate's pin).
-    fn d_frontier(&self) -> Vec<NodeId> {
-        let mut v = Vec::new();
-        for (id, node) in self.circuit.iter() {
-            if !node.kind().is_gate() || !self.composite_is_x(id) {
-                continue;
-            }
-            let mut has_d_input = node.fanins().iter().any(|&f| self.has_d(f));
-            if !has_d_input {
-                if let FaultSite::Branch { gate, pin } = self.fault.site {
-                    if gate == id {
-                        let driver = self.circuit.node(gate).fanins()[pin as usize];
-                        let g = self.good[driver.index()];
-                        has_d_input = g != V3::X && g != V3::from_bool(self.fault.stuck);
-                    }
-                }
-            }
-            if has_d_input {
-                v.push(id);
-            }
+    /// Whether `id` is on the D-frontier: a gate whose output is X in
+    /// either machine and which has at least one D/D̄ input. For a branch
+    /// fault, the faulty branch itself carries a D once activated (its stem
+    /// value is not faulty, so the deviation is visible only at the
+    /// consuming gate's pin).
+    fn on_d_frontier(&self, id: NodeId) -> bool {
+        let node = self.circuit.node(id);
+        if !node.kind().is_gate() || !self.composite_is_x(id) {
+            return false;
         }
-        v
+        node.fanins().iter().any(|&f| self.has_d(f))
+            || self.branch.is_some_and(|(gate, _)| {
+                let g = self.good[self.activation_line.index()];
+                gate == id && g != V3::X && g != self.stuck
+            })
     }
 
-    /// X-path check: can a D on some frontier line still reach an output
-    /// through composite-X lines?
-    fn x_path_exists(&self, frontier: &[NodeId]) -> bool {
-        let mut seen = vec![false; self.circuit.len()];
-        let mut stack: Vec<NodeId> = frontier.to_vec();
-        let output_mask = {
-            let mut m = vec![false; self.circuit.len()];
-            for &o in self.circuit.outputs() {
-                m[o.index()] = true;
+    /// Pushes the D-frontier onto the X-path stack and returns its first
+    /// gate in node-id order, if any.
+    fn seed_d_frontier(&mut self) -> Option<NodeId> {
+        self.stack.clear();
+        for &id in &self.cone {
+            if self.on_d_frontier(id) {
+                self.stack.push(id);
             }
-            m
-        };
-        while let Some(n) = stack.pop() {
-            if std::mem::replace(&mut seen[n.index()], true) {
+        }
+        self.stack.first().copied()
+    }
+
+    /// X-path check: can a D on some line of the stack still reach an
+    /// output through composite-X lines? Consumes the stack.
+    fn x_path_exists(&mut self) -> bool {
+        self.next_epoch();
+        while let Some(n) = self.stack.pop() {
+            if std::mem::replace(&mut self.seen[n.index()], self.epoch) == self.epoch {
                 continue;
             }
             if !self.composite_is_x(n) {
                 continue;
             }
-            if output_mask[n.index()] {
+            if self.ctx.is_output[n.index()] {
                 return true;
             }
-            stack.extend_from_slice(&self.ctx.fanouts[n.index()]);
+            self.stack.extend_from_slice(&self.ctx.fanouts[n.index()]);
         }
         false
     }
 
     /// The next objective `(line, value)`, or `None` when no useful
     /// objective exists under the current assignment (a dead end).
-    fn objective(&self) -> Option<(NodeId, bool)> {
-        // 1. Activate the fault.
+    fn objective(&mut self) -> Option<(NodeId, bool)> {
+        // 1. Activate the fault, while a fault effect could still reach an
+        //    output from the site.
         let act = self.activation_line;
         match self.good[act.index()] {
-            V3::X => return Some((act, !self.fault.stuck)),
-            v if v == V3::from_bool(self.fault.stuck) => return None, // can't activate
+            V3::X => {
+                self.stack.clear();
+                self.stack.push(self.site);
+                return self.x_path_exists().then_some((act, !self.fault.stuck));
+            }
+            v if v == self.stuck => return None, // can't activate
             _ => {}
         }
         // For a stem fault the activation line *is* the fault site; for a
-        // branch fault activation is already reflected through imply().
+        // branch fault activation is already reflected through implication.
         if self.fault_at_output() {
             return None; // already done; caller checks first
         }
         // 2. Advance the D-frontier.
-        let frontier = self.d_frontier();
-        if frontier.is_empty() || !self.x_path_exists(&frontier) {
+        let gate = self.seed_d_frontier()?;
+        if !self.x_path_exists() {
             return None;
         }
-        let gate = frontier[0];
         let node = self.circuit.node(gate);
         let x_input = node.fanins().iter().copied().find(|&f| self.composite_is_x(f))?;
         let value = match node.kind().controlling_value() {
@@ -355,7 +465,7 @@ impl<'c> Podem<'c> {
 
     fn run(&mut self, limit: u64) -> TestResult {
         self.limit = limit;
-        self.imply();
+        (self.good, self.bad) = self.sweep();
         // Decision stack: (pi position, value currently tried, flipped yet?).
         let mut stack: Vec<(usize, bool, bool)> = Vec::new();
         loop {
@@ -368,8 +478,8 @@ impl<'c> Podem<'c> {
                     match self.backtrace(line, value) {
                         Some((pos, v)) => {
                             stack.push((pos, v, false));
-                            self.pi_values[pos] = V3::from_bool(v);
-                            self.imply();
+                            self.assign(pos, V3::from_bool(v));
+                            self.drain();
                         }
                         None => {
                             // No X input reachable: dead end, backtrack.
@@ -391,6 +501,9 @@ impl<'c> Podem<'c> {
         }
     }
 
+    /// Resets flipped decisions and flips the most recent unflipped one,
+    /// then re-implies every input that changed in one drain. Returns
+    /// `false` when the decision stack is exhausted.
     fn backtrack(&mut self, stack: &mut Vec<(usize, bool, bool)>) -> bool {
         self.backtracks += 1;
         loop {
@@ -398,11 +511,11 @@ impl<'c> Podem<'c> {
                 None => return false,
                 Some((pos, v, flipped)) => {
                     if flipped {
-                        self.pi_values[pos] = V3::X;
+                        self.assign(pos, V3::X);
                     } else {
                         stack.push((pos, !v, true));
-                        self.pi_values[pos] = V3::from_bool(!v);
-                        self.imply();
+                        self.assign(pos, V3::from_bool(!v));
+                        self.drain();
                         return true;
                     }
                 }
@@ -552,44 +665,69 @@ INPUT(1)\nINPUT(2)\nINPUT(3)\nINPUT(6)\nINPUT(7)\nOUTPUT(22)\nOUTPUT(23)\n\
         }
     }
 
+    /// Every stem and every gate pin of random circuits with all gate
+    /// kinds, 1–3 inputs per gate and several outputs, dangling logic
+    /// included: PODEM finds a test exactly when one of the 2^n input
+    /// vectors detects the fault.
     #[test]
     fn agrees_with_exhaustive_search_on_random_circuits() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        use sft_netlist::{Circuit, GateKind};
+        let kinds = [
+            GateKind::And,
+            GateKind::Or,
+            GateKind::Nand,
+            GateKind::Nor,
+            GateKind::Xor,
+            GateKind::Xnor,
+            GateKind::Not,
+            GateKind::Buf,
+        ];
         let mut rng = StdRng::seed_from_u64(11);
-        for trial in 0..20 {
+        let (mut branches, mut untestable) = (0, 0);
+        for trial in 0..40 {
+            let n = rng.gen_range(4..=6);
             let mut c = Circuit::new(format!("r{trial}"));
-            let ins: Vec<_> = (0..5).map(|i| c.add_input(format!("i{i}"))).collect();
-            let mut pool = ins.clone();
-            for _ in 0..12 {
-                let kinds =
-                    [GateKind::And, GateKind::Or, GateKind::Nand, GateKind::Nor, GateKind::Xor];
+            let mut pool: Vec<_> = (0..n).map(|i| c.add_input(format!("i{i}"))).collect();
+            for _ in 0..rng.gen_range(8..=16) {
                 let kind = kinds[rng.gen_range(0..kinds.len())];
-                let x = pool[rng.gen_range(0..pool.len())];
-                let y = pool[rng.gen_range(0..pool.len())];
-                if x == y {
-                    continue;
-                }
-                let g = c.add_gate(kind, vec![x, y]).unwrap();
-                pool.push(g);
+                let arity = if matches!(kind, GateKind::Not | GateKind::Buf) {
+                    1
+                } else {
+                    rng.gen_range(2..=3)
+                };
+                let fanins = (0..arity).map(|_| pool[rng.gen_range(0..pool.len())]).collect();
+                pool.push(c.add_gate(kind, fanins).unwrap());
             }
-            let out = *pool.last().unwrap();
-            c.add_output(out, "y");
-            for fault in fault_list(&c) {
-                let exhaustive = (0..32u32).any(|m| {
-                    let t: Vec<bool> = (0..5).map(|i| m >> i & 1 == 1).collect();
+            for k in 0..rng.gen_range(1..=3) {
+                let out = pool[pool.len() - 1 - 2 * k];
+                c.add_output(out, format!("y{k}"));
+            }
+            let mut faults = Vec::new();
+            for (id, node) in c.iter() {
+                for stuck in [false, true] {
+                    faults.push(Fault::stem(id, stuck));
+                    for pin in 0..node.fanins().len() {
+                        faults.push(Fault::branch(id, pin as u8, stuck));
+                    }
+                }
+            }
+            for fault in faults {
+                branches += matches!(fault.site, FaultSite::Branch { .. }) as usize;
+                let exhaustive = (0..1u32 << n).any(|m| {
+                    let t: Vec<bool> = (0..n).map(|i| m >> i & 1 == 1).collect();
                     test_detects(&c, fault, &t)
                 });
                 let podem = generate_test(&c, fault, 100_000);
                 match (&podem, exhaustive) {
                     (TestResult::Test(t), true) => assert!(test_detects(&c, fault, t)),
-                    (TestResult::Untestable, false) => {}
+                    (TestResult::Untestable, false) => untestable += 1,
                     other => {
                         panic!("trial {trial} fault {fault}: podem={other:?} vs exhaustive={exhaustive}")
                     }
                 }
             }
         }
+        assert!(branches > 1000 && untestable > 100, "{branches} branch, {untestable} untestable");
     }
 }

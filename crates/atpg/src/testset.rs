@@ -5,7 +5,8 @@
 //! previously-undetected fault), then PODEM targets every surviving fault
 //! with fault dropping after each generated vector. A final reverse-order
 //! static compaction pass removes vectors whose detections are covered by
-//! the rest of the set.
+//! the rest of the set; its detection matrix is fault simulated 64 vectors
+//! per pass.
 
 use crate::podem::{generate_test_with, PodemContext, TestResult};
 use sft_budget::{Budget, StopReason};
@@ -134,60 +135,72 @@ pub fn generate_test_set_with_budget(
 
     // Phase 2: deterministic PODEM with fault dropping. The circuit is
     // immutable here, so one structural context serves every target.
+    // `alive[next..]` are the faults not yet targeted or dropped.
     let ctx = PodemContext::new(circuit);
     let mut redundant = 0;
     let mut aborted = 0;
-    while let Some(&target) = alive.first() {
+    let mut next = 0;
+    while let Some(&target) = alive.get(next) {
         if let Err(e) = budget.consume(1) {
             stop = e.into();
             break;
         }
         match generate_test_with(&ctx, circuit, faults[target], options.backtrack_limit) {
             TestResult::Test(vector) => {
-                let alive_faults: Vec<Fault> = alive.iter().map(|&i| faults[i]).collect();
+                let alive_faults: Vec<Fault> = alive[next..].iter().map(|&i| faults[i]).collect();
                 let hit = detects(&mut fsim, &alive_faults, &vector);
-                alive = alive.iter().zip(&hit).filter(|&(_, &h)| !h).map(|(&i, _)| i).collect();
+                alive =
+                    alive[next..].iter().zip(&hit).filter(|&(_, &h)| !h).map(|(&i, _)| i).collect();
+                next = 0;
                 vectors.push(vector);
             }
             TestResult::Untestable => {
                 redundant += 1;
-                alive.remove(0);
+                next += 1;
             }
             TestResult::Aborted => {
                 aborted += 1;
-                alive.remove(0);
+                next += 1;
             }
         }
     }
 
-    let untargeted = if stop.is_early() { alive.len() } else { 0 };
+    let untargeted = if stop.is_early() { alive.len() - next } else { 0 };
 
     // Phase 3: reverse-order static compaction. Skipped when the budget
     // ran out: compaction only shrinks the set, and the remaining effort
     // is better reported back to the caller immediately.
     if options.compact && !vectors.is_empty() && !stop.is_early() {
-        let targeted: Vec<Fault> = faults.clone();
-        // Detection matrix and per-fault cover counts.
-        let matrix: Vec<Vec<bool>> =
-            vectors.iter().map(|v| detects(&mut fsim, &targeted, v)).collect();
-        let mut cover_count: Vec<u32> = vec![0; targeted.len()];
-        for row in &matrix {
-            for (f, &hit) in row.iter().enumerate() {
-                if hit {
-                    cover_count[f] += 1;
+        // The detection matrix, as the list of faults each vector detects.
+        // A fault-simulation pass carries 64 vectors, one per pattern lane,
+        // with the lanes past the last vector masked off, so the matrix is
+        // the one simulating each vector alone gives. Then per-fault cover
+        // counts, and vectors dropped from the back while every fault they
+        // detect stays covered by another.
+        let mut detected: Vec<Vec<u32>> = vec![Vec::new(); vectors.len()];
+        for (chunk, rows) in vectors.chunks(64).zip(detected.chunks_mut(64)) {
+            let words: Vec<u64> = (0..n_inputs)
+                .map(|i| chunk.iter().enumerate().fold(0, |w, (lane, v)| w | (v[i] as u64) << lane))
+                .collect();
+            let lanes = if chunk.len() == 64 { u64::MAX } else { (1 << chunk.len()) - 1 };
+            for (f, mut mask) in fsim.detect_masks(&faults, &words).into_iter().enumerate() {
+                mask &= lanes;
+                while mask != 0 {
+                    rows[mask.trailing_zeros() as usize].push(f as u32);
+                    mask &= mask - 1;
                 }
             }
         }
+        let mut cover_count: Vec<u32> = vec![0; faults.len()];
+        for &f in detected.iter().flatten() {
+            cover_count[f as usize] += 1;
+        }
         let mut keep = vec![true; vectors.len()];
         for v in (0..vectors.len()).rev() {
-            let droppable =
-                matrix[v].iter().enumerate().all(|(f, &hit)| !hit || cover_count[f] >= 2);
-            if droppable {
+            if detected[v].iter().all(|&f| cover_count[f as usize] >= 2) {
                 keep[v] = false;
-                for (f, &hit) in matrix[v].iter().enumerate() {
-                    if hit {
-                        cover_count[f] -= 1;
-                    }
+                for &f in &detected[v] {
+                    cover_count[f as usize] -= 1;
                 }
             }
         }

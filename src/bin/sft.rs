@@ -63,8 +63,25 @@ use sft::netlist::{export, Circuit};
 use sft::par::Jobs;
 use sft::techmap::{map_circuit, Library};
 use sft::truth::MAX_INPUTS;
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 use std::time::Duration;
+
+/// `println!` to stdout, with the closed-reader rule of [`emit`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes to stdout. A reader that has gone away (`sft ... | head -1`) is
+/// not an error: the rest of the output is dropped and the command still
+/// finishes its work, such as writing its output file.
+fn emit(args: std::fmt::Arguments<'_>) {
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        assert!(e.kind() == ErrorKind::BrokenPipe, "failed printing to stdout: {e}");
+    }
+}
 
 /// Resolves the circuit format for `path`: an explicit `--from`/`--to`
 /// name wins, otherwise the file extension decides, defaulting to
@@ -252,9 +269,9 @@ fn budget_from(args: &[String]) -> Result<Budget, String> {
 /// One-line stop-reason note for budget-aware commands.
 fn print_stop(reason: StopReason) {
     if reason.is_early() {
-        println!("stopped early: {reason} (partial result kept)");
+        outln!("stopped early: {reason} (partial result kept)");
     } else {
-        println!("stop reason: {reason}");
+        outln!("stop reason: {reason}");
     }
 }
 
@@ -271,17 +288,15 @@ fn run() -> Result<(), String> {
     check_options(command, rest)?;
     match command.as_str() {
         "help" => {
-            println!("see the crate README for full usage; commands:");
-            println!(
-                "  stats resynth redundancy testgen equiv techmap pdf convert export serve gen"
-            );
+            outln!("see the crate README for full usage; commands:");
+            outln!("  stats resynth redundancy testgen equiv techmap pdf convert export serve gen");
             Ok(())
         }
         "stats" => {
             let files = positionals(rest);
             let c = load(files.first().ok_or("stats needs an input file")?, rest)?;
-            println!("{}: {}", c.name(), c.stats());
-            println!("{}: {}", c.name(), c.memory_stats());
+            outln!("{}: {}", c.name(), c.stats());
+            outln!("{}: {}", c.name(), c.memory_stats());
             Ok(())
         }
         "resynth" => {
@@ -310,7 +325,7 @@ fn run() -> Result<(), String> {
             let budget = budget_from(rest)?;
             let report =
                 resynthesize_with_budget(&mut c, &opts, &budget).map_err(|e| e.to_string())?;
-            println!("{report}");
+            outln!("{report}");
             print_stop(report.stop_reason);
             save(output, &c, rest)
         }
@@ -320,9 +335,12 @@ fn run() -> Result<(), String> {
             let output = files.get(1).ok_or("redundancy needs an output file")?;
             let mut c = load(input, rest)?;
             let report = remove_redundancies(&mut c, 50_000);
-            println!(
+            outln!(
                 "{} removed, {} aborted, gates {} -> {}",
-                report.removed, report.aborted, report.gates_before, report.gates_after
+                report.removed,
+                report.aborted,
+                report.gates_before,
+                report.gates_after
             );
             save(output, &c, rest)
         }
@@ -331,7 +349,7 @@ fn run() -> Result<(), String> {
             let c = load(files.first().ok_or("testgen needs an input file")?, rest)?;
             let budget = budget_from(rest)?;
             let set = generate_test_set_with_budget(&c, &TestSetOptions::default(), &budget);
-            println!(
+            outln!(
                 "# {} faults, {} redundant, {} aborted, {} untargeted, coverage {:.2}%",
                 set.total_faults,
                 set.redundant,
@@ -340,11 +358,11 @@ fn run() -> Result<(), String> {
                 set.coverage() * 100.0
             );
             if set.stop_reason.is_early() {
-                println!("# stopped early: {} (partial test set kept)", set.stop_reason);
+                outln!("# stopped early: {} (partial test set kept)", set.stop_reason);
             }
             for v in &set.vectors {
                 let s: String = v.iter().map(|&b| if b { '1' } else { '0' }).collect();
-                println!("{s}");
+                outln!("{s}");
             }
             Ok(())
         }
@@ -354,7 +372,7 @@ fn run() -> Result<(), String> {
             let b = load(files.get(1).ok_or("equiv needs two files")?, rest)?;
             match sft::bdd::equivalent(&a, &b).map_err(|e| e.to_string())? {
                 sft::bdd::CheckResult::Equivalent => {
-                    println!("equivalent");
+                    outln!("equivalent");
                     Ok(())
                 }
                 sft::bdd::CheckResult::Different { output, witness } => {
@@ -366,7 +384,7 @@ fn run() -> Result<(), String> {
         "techmap" => {
             let files = positionals(rest);
             let c = load(files.first().ok_or("techmap needs an input file")?, rest)?;
-            println!("{}", map_circuit(&c, &Library::standard()));
+            outln!("{}", map_circuit(&c, &Library::standard()));
             Ok(())
         }
         "pdf" => {
@@ -379,7 +397,7 @@ fn run() -> Result<(), String> {
             };
             let budget = budget_from(rest)?;
             let r = pdf_campaign_with_budget(&c, &cfg, &budget).map_err(|e| e.to_string())?;
-            println!(
+            outln!(
                 "{}/{} robust path delay faults detected ({:.2}%) in {} pairs",
                 r.detected,
                 r.total_faults,
@@ -395,7 +413,7 @@ fn run() -> Result<(), String> {
             let output = files.get(1).ok_or("convert needs an output file")?;
             let c = load(input, rest)?;
             save(output, &c, rest)?;
-            println!(
+            outln!(
                 "{}: {} -> {} ({})",
                 c.name(),
                 format_for(input, opt(rest, "--from").as_deref())?,
@@ -408,9 +426,9 @@ fn run() -> Result<(), String> {
             let files = positionals(rest);
             let c = load(files.first().ok_or("export needs an input file")?, rest)?;
             if flag(rest, "--verilog") {
-                print!("{}", sft::io::verilog::write(&c).map_err(|e| e.to_string())?);
+                emit(format_args!("{}", sft::io::verilog::write(&c).map_err(|e| e.to_string())?));
             } else if flag(rest, "--dot") {
-                print!("{}", export::write_dot(&c));
+                emit(format_args!("{}", export::write_dot(&c)));
             } else {
                 return Err("export needs --verilog or --dot".into());
             }
@@ -448,7 +466,7 @@ fn run() -> Result<(), String> {
                     return Err(format!("unknown gen kind {other:?} (mul|adder|alu|dag|stitch)"))
                 }
             };
-            println!("{}: {}", c.name(), c.stats());
+            outln!("{}: {}", c.name(), c.stats());
             save(output, &c, rest)
         }
         "serve" => {

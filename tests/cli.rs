@@ -385,3 +385,38 @@ fn gen_emits_any_format_by_extension() {
         assert!(String::from_utf8_lossy(&stats.stdout).contains("in=17"), "{name}");
     }
 }
+
+/// A reader that closes its end of the pipe early (`sft ... | head -1`)
+/// drops the rest of the output quietly: no panic, exit 0, and a command
+/// with an output file still writes it. The `--dot` export is larger than
+/// a pipe buffer, so its writes fail whichever way the close races them.
+#[test]
+fn closed_stdout_ends_output_quietly() {
+    let input = write_bench("pipe_in.bench", "");
+    let out = sft()
+        .args(["gen", "mul", input.to_str().unwrap(), "--width", "16"])
+        .output()
+        .expect("spawn");
+    assert!(out.status.success(), "{out:?}");
+    let small = write_bench("pipe_small.bench", DEMO);
+    let result = write_bench("pipe_out.bench", "");
+    std::fs::remove_file(&result).expect("remove stale output");
+    let (input, small, result) =
+        (input.to_str().unwrap(), small.to_str().unwrap(), result.to_str().unwrap());
+    for args in
+        [vec!["export", input, "--dot"], vec!["resynth", small, result, "--step-limit", "20000"]]
+    {
+        let mut child = sft()
+            .args(&args)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("wait");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(out.status.success(), "{args:?}: {out:?}");
+    }
+    assert!(std::path::Path::new(result).exists(), "resynth must still write its output");
+}

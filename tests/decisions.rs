@@ -1,5 +1,6 @@
-//! Pinned decisions: the exact integers resynthesis, fault simulation,
-//! edit rollback and the serve daemon decide on fixed inputs.
+//! Pinned decisions: the exact integers resynthesis, fault simulation, test
+//! generation, redundancy removal, edit rollback and the serve daemon decide
+//! on fixed inputs.
 //!
 //! Each test is one table. A row names a circuit and the values the engines
 //! must reproduce for it on every machine; the comment above a table names
@@ -8,8 +9,9 @@
 //! what the program computes, and the new value belongs in this file
 //! together with the reason.
 
+use sft::atpg::{generate_test_set, remove_redundancies, TestSetOptions};
 use sft::budget::{Budget, StopReason};
-use sft::circuits::random::RandomCircuitConfig;
+use sft::circuits::random::{random_circuit, RandomCircuitConfig};
 use sft::circuits::{gen, suite_small, SuiteEntry};
 use sft::core::{procedure2, resynthesize_with_budget, ResynthOptions};
 use sft::netlist::{Circuit, GateKind, NodeId};
@@ -285,4 +287,53 @@ fn serve_outcome_decisions_are_pinned() {
     assert_eq!((two.done, two.failed, two.shed), (6, 0, 0), "two-worker outcomes drifted");
     assert_eq!(serial_out.len(), 6);
     assert_eq!(serial_out, two_out, "serve results must not depend on the worker count");
+}
+
+/// Test generation (default options) on the 15 random cores of perfbench's
+/// testability workload, and redundancy removal (backtrack limit 50,000, as
+/// `sft redundancy` runs it) on two stitched cores of the `sft gen stitch`
+/// shape. Faults are targeted in node-id order, which a `.bench` round trip
+/// renumbers, so the written-and-parsed circuit (what `sft redundancy` reads)
+/// removes a different number of faults than the generated one.
+#[test]
+fn atpg_decisions_are_pinned() {
+    // (seed, (vectors, redundant, aborted))
+    let pins = [
+        (101, (10, 319, 0)),
+        (102, (22, 160, 0)),
+        (103, (23, 178, 0)),
+        (104, (23, 168, 0)),
+        (105, (18, 169, 0)),
+        (106, (20, 247, 0)),
+        (107, (28, 94, 0)),
+        (108, (17, 316, 0)),
+        (109, (24, 121, 0)),
+        (110, (22, 193, 0)),
+        (111, (17, 284, 0)),
+        (112, (19, 263, 0)),
+        (113, (23, 271, 0)),
+        (114, (24, 178, 0)),
+        (115, (31, 171, 0)),
+    ];
+    for (seed, pin) in pins {
+        let core = RandomCircuitConfig { inputs: 20, outputs: 10, gates: 120, window: 40, seed };
+        let set = generate_test_set(&random_circuit(&core), &TestSetOptions::default());
+        let decided = (set.vectors.len(), set.redundant, set.aborted);
+        assert_eq!(decided, pin, "seed {seed}: test-set decisions drifted");
+    }
+
+    // (removed, aborted, passes, gates_before, gates_after)
+    let core = RandomCircuitConfig { inputs: 32, outputs: 16, gates: 260, window: 56, seed: 1 };
+    let generated = gen::stitched(2, &core);
+    let text = sft::netlist::bench_format::write(&generated);
+    let parsed = sft::netlist::bench_format::parse(&text, "stitch2").expect("round trip parses");
+    let pins = [
+        ("generated", generated, (532, 0, 4, 486, 111)),
+        ("parsed", parsed, (546, 0, 4, 486, 111)),
+    ];
+    for (name, mut c, pin) in pins {
+        let r = remove_redundancies(&mut c, 50_000);
+        let decided = (r.removed, r.aborted, r.passes, r.gates_before, r.gates_after);
+        assert_eq!(decided, pin, "stitch2 {name}: redundancy-removal decisions drifted");
+    }
 }
